@@ -139,11 +139,11 @@ class SpawnedFleet:
                     shards=shards,
                     heartbeat_interval=heartbeat_interval,
                     node_deadline=node_deadline,
-                    result_cache_capacity=result_cache,
                 ),
                 engine_config=EngineConfig(grid_size=grid_size),
                 service_config=ServiceConfig(
-                    engines=1, default_grid_size=grid_size
+                    engines=1, default_grid_size=grid_size,
+                    result_cache_capacity=result_cache,
                 ),
             )
         except BaseException:

@@ -405,8 +405,9 @@ def contract_services(data, features, input_path, workdir):
         data,
         features,
         [NodeSpec(url=node.url, shard_index=node.shard_index) for node in nodes],
-        cluster=ClusterConfig(shards=2, result_cache_capacity=0),
+        cluster=ClusterConfig(shards=2),
         service_config=ServiceConfig(
+            result_cache_capacity=0,
             engines=1,
             default_grid_size=GRID,
             admission_queue_depth=1,

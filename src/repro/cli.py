@@ -594,6 +594,7 @@ def _cmd_serve_cluster(args: argparse.Namespace) -> int:
             default_grid_size=args.grid_size,
             admission_queue_depth=args.admission_depth,
             default_deadline_ms=args.default_deadline_ms,
+            result_cache_capacity=args.result_cache,
         )
         cluster_config = ClusterConfig(
             shards=args.cluster,
@@ -601,7 +602,6 @@ def _cmd_serve_cluster(args: argparse.Namespace) -> int:
             heartbeat_interval=args.heartbeat_interval,
             liveness_timeout=args.liveness_timeout,
             node_deadline=args.node_deadline,
-            result_cache_capacity=args.result_cache,
         )
     except (ValueError, InvalidQueryError, JobConfigurationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

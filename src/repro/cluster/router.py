@@ -1,11 +1,11 @@
 """Scatter-gather over process-isolated shard nodes, with failover.
 
 :class:`ClusterRouter` is the cluster-mode counterpart of
-:class:`~repro.sharding.router.ShardRouter`: it duck-types
-:class:`~repro.server.service.QueryService` (``submit``, ``submit_many``,
-``stats``, ``uptime_seconds``, ``swap_datasets``, context manager) so
-:func:`repro.server.http.make_server` serves it unchanged -- but where the
-shard router calls N in-process services, this router speaks the existing
+:class:`~repro.sharding.router.ShardRouter`: both subclass the one
+scatter-gather core, :class:`~repro.sharding.router.ScatterGatherRouter`
+(request handling, admission, result cache, fan-out, merge, quiesce gate),
+so :func:`repro.server.http.make_server` serves it unchanged -- but where
+the shard router asks N in-process services, this router speaks the existing
 JSON-over-HTTP protocol to N *node endpoints*, each a
 :class:`~repro.cluster.node.ShardNodeService` in its own OS process
 (``repro serve --cluster N``).  What that buys over ``--shards``:
@@ -42,8 +42,6 @@ a node is SIGKILLed under load with replication >= 2.
 from __future__ import annotations
 
 import threading
-import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -57,22 +55,16 @@ from repro.cluster.transport import (
     get_json,
     post_json,
 )
-from repro.core.engine import (
-    ALGORITHM_CHOICES,
-    EngineConfig,
-    validate_algorithm_combination,
-)
-from repro.exceptions import InvalidQueryError, OverloadError
+from repro.core.engine import EngineConfig
+from repro.exceptions import InvalidQueryError
 from repro.index.delta import DatasetDelta, materialize
 from repro.model.objects import DataObject, FeatureObject
-from repro.model.result import QueryResult, ScoredObject, merge_top_k
-from repro.server.admission import AdmissionController
-from repro.server.cache import ResultCache
-from repro.server.metrics import LatencyHistogram
-from repro.server.protocol import ParsedRequest, parse_query_spec, result_payload
-from repro.server.service import ServiceConfig, resolve_request_defaults
-from repro.sharding.partition import ShardingPlan, partition_datasets
-from repro.spatial.partitioning import GridPartitioner
+# Unused here: the gather merges in repro.sharding.router.  The benchmark
+# tracer still patches this module's name (spqbench/spans.py:177).
+from repro.model.result import merge_top_k  # noqa: F401
+from repro.server.service import ServiceConfig
+from repro.sharding.partition import ShardingPlan, route_objects
+from repro.sharding.router import ScatterGatherRouter, _RouterCounters
 
 
 @dataclass(frozen=True)
@@ -107,9 +99,6 @@ class ClusterConfig:
         retries: Extra attempts per shard after the primary fails (the
             "one retry" contract; each attempt goes to the next live
             replica).
-        scatter_threads: Scatter pool size; None picks
-            ``min(64, shards * 8)``.
-        result_cache_capacity: Router response LRU entries (0 disables).
         initial_epoch: Dataset epoch the fleet booted with.
     """
 
@@ -120,28 +109,14 @@ class ClusterConfig:
     max_misses: int = 3
     node_deadline: float = 10.0
     retries: int = 1
-    scatter_threads: Optional[int] = None
-    result_cache_capacity: int = 256
     initial_epoch: str = BOOT_EPOCH
 
 
-@dataclass
-class _ClusterCounters:
-    """Mutable request accounting (guarded by the router lock)."""
-
-    submitted: int = 0
-    completed: int = 0
-    failed: int = 0
-    cache_hits: int = 0
-    swaps: int = 0
-    failovers: int = 0
-    degraded_responses: int = 0
-    resyncs: int = 0
-    write_batches: int = 0
-
-
-class ClusterRouter:
+class ClusterRouter(ScatterGatherRouter):
     """HTTP scatter-gather front-end over process-isolated shard nodes."""
+
+    mode = "cluster"
+    _request_counters = ("failovers", "degraded_responses")
 
     def __init__(
         self,
@@ -165,11 +140,11 @@ class ClusterRouter:
                 ``[0, shards)`` should appear at least once (a shard with
                 no node can only ever be answered in degraded mode).
             cluster: Cluster knobs (defaults to :class:`ClusterConfig`).
-            engine_config: Used only to resolve request defaults
-                (grid size) identically to the nodes'.
-            service_config: Used for request defaults and the router
-                result-cache capacity override (``result_cache_capacity``
-                on ``cluster`` wins).
+            engine_config: Used to resolve request defaults (grid size)
+                and to validate requests (planner mode) identically to
+                the nodes.
+            service_config: Used for request defaults, admission and the
+                router result-cache capacity.
 
         Raises:
             ValueError: for an empty fleet, a bad shard count, or a node
@@ -177,8 +152,15 @@ class ClusterRouter:
             InvalidQueryError: for a negative ``max_radius``.
         """
         self.cluster = cluster or ClusterConfig()
-        if self.cluster.shards < 1:
-            raise ValueError(f"shards must be >= 1, got {self.cluster.shards}")
+        # Nodes slice locally with the uniform layout (see docs/cluster.md).
+        super().__init__(
+            data_objects,
+            feature_objects,
+            self.cluster.shards,
+            self.cluster.max_radius,
+            engine_config,
+            service_config,
+        )
         if not nodes:
             raise ValueError("a cluster router needs at least one node")
         for spec in nodes:
@@ -189,14 +171,6 @@ class ClusterRouter:
                 )
         if self.cluster.retries < 0:
             raise ValueError(f"retries must be >= 0, got {self.cluster.retries}")
-        self._engine_config = engine_config or EngineConfig()
-        self._service_config = service_config or ServiceConfig()
-        self._plan = partition_datasets(
-            data_objects,
-            feature_objects,
-            self.cluster.shards,
-            max_radius=self.cluster.max_radius,
-        )
         self._current_data: List[DataObject] = list(data_objects)
         self._current_features: List[FeatureObject] = list(feature_objects)
         self._membership = ClusterMembership(
@@ -210,55 +184,17 @@ class ClusterRouter:
                 spec.url, spec.shard_index, dataset_epoch=self.cluster.initial_epoch
             )
         self._epoch = self.cluster.initial_epoch
-        self._defaults = resolve_request_defaults(
-            self._plan.extent, self._engine_config.grid_size, self._service_config
-        )
-        self._cache = ResultCache(self.cluster.result_cache_capacity)
-        #: Admission happens once, at the cluster front (the shard-node
-        #: processes run without admission configured): a request admitted
-        #: here is never half-shed by one node of its scatter, and every
-        #: deployment mode sheds with the same 429 contract.
-        self._admission = AdmissionController(
-            queue_depth=self._service_config.admission_queue_depth,
-            default_deadline_ms=self._service_config.default_deadline_ms,
-        )
-        self._latency = LatencyHistogram()
-        self._counters = _ClusterCounters()
-        self._dataset_version = 0
         #: Monotonic write-batch counter; with the dataset version it forms
         #: the composite cache version, so a cached response can never
         #: outlive the write that changed its answer.
         self._write_version = 0
-        self._lock = threading.Lock()
-        #: Serializes hot swaps (and resyncs) against each other.
-        self._swap_lock = threading.Lock()
-        #: Quiesce gate: while ``_paused`` no new request scatters.
-        self._gate = threading.Condition()
-        self._paused = False
-        self._inflight = 0
-        self._pool: Optional[ThreadPoolExecutor] = None
         self._heartbeat_stop = threading.Event()
         self._heartbeat_thread: Optional[threading.Thread] = None
-        self._started = False
-        self._closed = False
-        self._started_monotonic: Optional[float] = None
 
     # ------------------------------------------------------------------ #
     # lifecycle
 
-    def start(self) -> "ClusterRouter":
-        """Probe the fleet once, start the scatter pool and heartbeats."""
-        with self._lock:
-            if self._started or self._closed:
-                return self
-            self._started = True
-            self._started_monotonic = time.monotonic()
-        workers = self.cluster.scatter_threads or min(
-            64, self.cluster.shards * 8
-        )
-        self._pool = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="repro-cluster-scatter"
-        )
+    def _start_slices(self) -> None:
         # A synchronous first round: node identities and epochs are known
         # before the first request is routed.
         self.probe_now()
@@ -269,44 +205,14 @@ class ClusterRouter:
                 daemon=True,
             )
             self._heartbeat_thread.start()
-        return self
 
-    def shutdown(self) -> None:
-        """Drain in-flight requests, stop heartbeats and the pool.
-
-        The node processes are *not* owned by the router (``repro serve
-        --cluster`` owns the subprocesses it spawned; remote nodes are
-        somebody else's); shutting the router down leaves them serving.
-        """
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
+    def _stop_background(self) -> None:
+        # The node processes are *not* owned by the router (``repro serve
+        # --cluster`` owns the subprocesses it spawned; remote nodes are
+        # somebody else's); shutting the router down leaves them serving.
         self._heartbeat_stop.set()
         if self._heartbeat_thread is not None:
             self._heartbeat_thread.join()
-        with self._gate:
-            while self._inflight:
-                self._gate.wait()
-        with self._swap_lock:
-            if self._pool is not None:
-                self._pool.shutdown(wait=True)
-
-    def __enter__(self) -> "ClusterRouter":
-        return self.start()
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.shutdown()
-
-    @property
-    def closed(self) -> bool:
-        """True once :meth:`shutdown` has been called."""
-        return self._closed
-
-    def uptime_seconds(self) -> float:
-        """Seconds since :meth:`start` (0.0 before it); lock-free."""
-        started = self._started_monotonic
-        return time.monotonic() - started if started is not None else 0.0
 
     # ------------------------------------------------------------------ #
     # heartbeats / membership
@@ -363,29 +269,52 @@ class ClusterRouter:
             # Re-check under the lock: a concurrent swap may have moved the
             # epoch (and will resync against the new one itself).
             stale = self._membership.stale_nodes(self._epoch)
+            if not stale:
+                return
+            payload = self._dataset_payload(self._epoch)
             for url in stale:
-                if self._push_dataset(url, self._epoch):
+                if self._push(url, "datasets", payload):
                     with self._lock:
                         self._counters.resyncs += 1
 
-    def _push_dataset(self, url: str, epoch: str) -> bool:
-        """POST the current full snapshot to one node; True on success."""
-        payload = _dataset_payload(
-            self._current_data, self._current_features, epoch
-        )
+    def _dataset_payload(self, epoch: str) -> Dict[str, object]:
+        """The inline ``POST /datasets`` body for the current full snapshot."""
+        return {
+            "epoch": epoch,
+            "data_objects": [
+                {"oid": obj.oid, "x": obj.x, "y": obj.y}
+                for obj in self._current_data
+            ],
+            "feature_objects": [
+                _feature_entry(obj) for obj in self._current_features
+            ],
+        }
+
+    def _push(self, url: str, endpoint: str, payload: Dict[str, object]) -> bool:
+        """POST a snapshot or write slice to one node; True on success."""
         try:
             post_json(
-                f"{url}/datasets", payload, timeout=self.cluster.node_deadline
+                f"{url}/{endpoint}", payload, timeout=self.cluster.node_deadline
             )
         except NodeTransportError:
             self._membership.mark_failure(url)
             return False
         except InvalidQueryError:
-            # A node that rejects the snapshot (4xx) is misconfigured, not
-            # merely unreachable; it stays excluded by its stale epoch.
+            # A node that rejects the push (4xx) is misconfigured or
+            # diverged from the router's snapshot, not merely unreachable;
+            # its stale epoch keeps it out of routing until the heartbeat
+            # loop resyncs it with a full snapshot.
             return False
-        self._membership.mark_success(url, dataset_epoch=epoch)
+        self._membership.mark_success(url, dataset_epoch=payload["epoch"])
         return True
+
+    def _live_nodes(self) -> List[str]:
+        """Every registered node not marked dead (the push targets)."""
+        return [
+            url
+            for url in self._membership.urls()
+            if self._membership.status_of(url).state != "dead"
+        ]
 
     @property
     def membership(self) -> ClusterMembership:
@@ -400,178 +329,7 @@ class ClusterRouter:
     # ------------------------------------------------------------------ #
     # serving
 
-    def submit(self, spec: Mapping[str, object]) -> Dict[str, object]:
-        """Serve one request object; returns its response payload.
-
-        Identical request/response contract to ``QueryService.submit``
-        plus the cluster additions: over-``max_radius`` queries are
-        rejected, and when one or more shards have no live replica the
-        payload carries ``"degraded": true`` with ``"shards_answered"`` /
-        ``"shards_missing"`` listed.
-
-        Raises:
-            InvalidQueryError: for an invalid request or an over-radius one.
-            RuntimeError: when the router is not started or already shut
-                down.
-        """
-        parsed = self._parse(spec)
-        return self._serve(parsed)
-
-    def submit_many(
-        self, specs: Sequence[Mapping[str, object]]
-    ) -> List[Dict[str, object]]:
-        """Serve a batch of request objects; responses in input order.
-
-        Validated up front as one batch, then served concurrently on a
-        batch-local pool so the scatter round-trips overlap (same two-level
-        pool structure as the in-process shard router).
-        """
-        parsed_list = [self._parse(spec) for spec in specs]
-        if len(parsed_list) <= 1:
-            return [self._serve(parsed) for parsed in parsed_list]
-        with ThreadPoolExecutor(
-            max_workers=min(len(parsed_list), 8),
-            thread_name_prefix="repro-cluster-batch",
-        ) as pool:
-            return list(pool.map(self._serve, parsed_list))
-
-    def _parse(self, spec: Mapping[str, object]) -> ParsedRequest:
-        parsed = parse_query_spec(spec, self._defaults, ALGORITHM_CHOICES)
-        validate_algorithm_combination(
-            parsed.item.algorithm, parsed.item.score_mode
-        )
-        max_radius = self.cluster.max_radius
-        if max_radius is not None and parsed.item.query.radius > max_radius:
-            raise InvalidQueryError(
-                f"query radius {parsed.item.query.radius} exceeds the cluster "
-                f"replication radius (max_radius={max_radius}); features "
-                "beyond it were not replicated across shard boundaries, so "
-                "the cluster cannot answer this query exactly"
-            )
-        return parsed
-
-    def _serve(self, parsed: ParsedRequest) -> Dict[str, object]:
-        started = time.monotonic()
-        with self._lock:
-            if not self._started:
-                raise RuntimeError("the query service is not started")
-            if self._closed:
-                raise RuntimeError("the query service is shut down")
-            self._counters.submitted += 1
-        admission = self._admission
-        deadline = admission.resolve_deadline(parsed.deadline_ms)
-        admission.on_arrival(deadline)
-        admission.acquire()
-        try:
-            response = self._serve_admitted(parsed, deadline)
-        except OverloadError:
-            # The gate's queue-expiry check -- or, when someone points the
-            # router at admission-enabled nodes (not the spawned-fleet
-            # default), a 429 relayed by the transport.  Either way the
-            # client sees a 429, so it lands in the shed bucket.
-            admission.release("expired")
-            with self._lock:
-                self._counters.failed += 1
-            raise
-        except BaseException:
-            admission.release("failed")
-            with self._lock:
-                self._counters.failed += 1
-            raise
-        latency = time.monotonic() - started
-        admission.release("completed", latency)
-        self._latency.record(latency)
-        with self._lock:
-            self._counters.completed += 1
-        return response
-
-    def _serve_admitted(
-        self, parsed: ParsedRequest, deadline: Optional[float]
-    ) -> Dict[str, object]:
-        """Gate entry + HTTP scatter-gather for one admitted request."""
-        with self._gate:
-            while self._paused:
-                self._gate.wait()
-            if self._closed:
-                raise RuntimeError("the query service is shut down")
-            self._inflight += 1
-        try:
-            # A fleet-wide swap may have held the gate past the request's
-            # budget; shed explicitly instead of serving a too-late answer.
-            if self._admission.expired_in_queue(deadline):
-                raise self._admission.queue_expiry_error()
-            return self._serve_gated(parsed)
-        finally:
-            with self._gate:
-                self._inflight -= 1
-                self._gate.notify_all()
-
-    def _serve_gated(self, parsed: ParsedRequest) -> Dict[str, object]:
-        """Cache probe + HTTP scatter-gather; runs inside the quiesce gate."""
-        key = parsed.canonical_key((self._dataset_version, self._write_version))
-        if self._cache.enabled:
-            payload = self._cache.get(key)
-            if payload is not None:
-                payload["cached"] = True
-                if not parsed.include_stats:
-                    payload.pop("stats", None)
-                with self._lock:
-                    self._counters.cache_hits += 1
-                return payload
-
-        answered, missing = self._scatter(parsed)
-        full = self._gather(parsed, answered, missing)
-        if not missing:
-            # A degraded (partial) answer must never be served to a later
-            # healthy request from the cache.
-            self._cache.put(key, full)
-        response = dict(full)
-        if not parsed.include_stats:
-            response.pop("stats", None)
-        return response
-
-    def _resolved_spec(self, parsed: ParsedRequest) -> Dict[str, object]:
-        """The fully resolved spec scattered to the nodes (always with stats)."""
-        item = parsed.item
-        return {
-            "keywords": sorted(item.query.keywords),
-            "k": item.query.k,
-            "radius": item.query.radius,
-            "algorithm": item.algorithm,
-            "grid_size": item.grid_size,
-            "score_mode": item.score_mode,
-            "stats": True,
-        }
-
-    def _scatter(
-        self, parsed: ParsedRequest
-    ) -> Tuple[List[Tuple[int, Dict[str, object]]], List[int]]:
-        """Fan out to every data-bearing shard; returns (answered, missing)."""
-        spec = self._resolved_spec(parsed)
-        targets = [
-            shard.shard_id for shard in self._plan.shards if not shard.is_empty
-        ]
-        if not targets:
-            return [], []
-        if len(targets) == 1:
-            outcomes = [self._query_shard(targets[0], spec)]
-        else:
-            assert self._pool is not None  # started before requests are gated
-            futures = [
-                self._pool.submit(self._query_shard, shard_id, spec)
-                for shard_id in targets
-            ]
-            outcomes = [future.result() for future in futures]
-        answered: List[Tuple[int, Dict[str, object]]] = []
-        missing: List[int] = []
-        for shard_id, response in zip(targets, outcomes):
-            if response is None:
-                missing.append(shard_id)
-            else:
-                answered.append((shard_id, response))
-        return answered, missing
-
-    def _query_shard(
+    def _query_slice(
         self, shard_index: int, spec: Mapping[str, object]
     ) -> Optional[Dict[str, object]]:
         """One shard's sub-request: deadline per attempt, failover retries.
@@ -604,152 +362,41 @@ class ClusterRouter:
             return response
         return None
 
-    def _gather(
-        self,
-        parsed: ParsedRequest,
-        answered: List[Tuple[int, Dict[str, object]]],
-        missing: List[int],
-    ) -> Dict[str, object]:
-        """Merge per-shard partials; attach cluster stats and degraded marks."""
-        partials: List[List[ScoredObject]] = [
-            [
-                ScoredObject(
-                    DataObject(oid=entry["oid"], x=entry["x"], y=entry["y"]),
-                    entry["score"],
-                )
-                for entry in response["results"]
-            ]
-            for _, response in answered
-        ]
-        entries = merge_top_k(partials, parsed.item.query.k)
-        stats = self._aggregate_stats(parsed, answered, missing)
-        stats_parsed = ParsedRequest(item=parsed.item, include_stats=True)
-        payload = result_payload(stats_parsed, QueryResult(entries, stats=stats))
-        if missing:
-            payload["degraded"] = True
-            payload["shards_answered"] = sorted(
-                shard_id for shard_id, _ in answered
-            )
-            payload["shards_missing"] = sorted(missing)
-            with self._lock:
-                self._counters.degraded_responses += 1
-        return payload
+    def _cache_version(self) -> Tuple[int, int]:
+        return (self._dataset_version, self._write_version)
 
-    def _aggregate_stats(
-        self,
-        parsed: ParsedRequest,
-        answered: List[Tuple[int, Dict[str, object]]],
-        missing: List[int],
-    ) -> Dict[str, object]:
-        """Cluster stats tree: sums of shard work, makespan of shard time."""
-        stats: Dict[str, object] = {
-            "algorithm": parsed.item.algorithm,
-            "grid_size": parsed.item.grid_size,
-        }
-        summed = (
-            "shuffled_records",
-            "features_pruned",
-            "features_examined",
-            "score_computations",
-        )
-        totals: Dict[str, float] = dict.fromkeys(summed, 0)
-        makespan = 0.0
-        planned: Dict[str, str] = {}
-        for shard_id, response in answered:
-            shard_stats = response.get("stats", {})
-            for name in summed:
-                if name in shard_stats:
-                    totals[name] += shard_stats[name]
-            makespan = max(makespan, shard_stats.get("simulated_seconds", 0.0))
-            if "planned_algorithm" in response:
-                planned[str(shard_id)] = response["planned_algorithm"]
-            if "backend" in shard_stats and "backend" not in stats:
-                stats["backend"] = shard_stats["backend"]
-                stats["workers"] = shard_stats.get("workers")
-        stats.update(totals)
-        stats["simulated_seconds"] = makespan
-        stats["cluster"] = {
-            "shards_queried": len(answered),
-            "shards_missing": sorted(missing),
+    def _response_stats(self, missing: List[int]) -> Dict[str, object]:
+        return {
+            "shards_missing": missing,
             "degraded": bool(missing),
             "dataset_version": self._dataset_version,
             "dataset_epoch": self._epoch,
-            "planned_algorithms": planned or None,
         }
-        if planned and len(set(planned.values())) == 1:
-            stats["planned_algorithm"] = next(iter(planned.values()))
-        return stats
 
     # ------------------------------------------------------------------ #
     # datasets
 
-    def swap_datasets(
+    def _install_slices(
         self,
-        data_objects: Sequence[DataObject],
-        feature_objects: Sequence[FeatureObject],
-    ) -> Dict[str, object]:
-        """Hot-swap the dataset across the whole fleet; returns snapshot info.
-
-        The cluster extension of the two-level quiesce protocol:
-
-        1. the router gate pauses (in-flight scatter-gathers drain, new
-           requests queue);
-        2. a new epoch tag is minted and the full snapshot is pushed to
-           every non-dead node (``POST /datasets`` with the epoch); each
-           node repartitions deterministically and swaps its slice under
-           its own quiesce gate;
-        3. the router dataset version bumps (cache entries become
-           unreachable), defaults re-derive from the new extent, and the
-           gate reopens.
-
-        A node the push could not reach keeps its old epoch: it is
-        excluded from routing (its shard's other replicas answer, or the
-        shard goes degraded) until the heartbeat loop resynchronises it.
-        """
-        with self._swap_lock:
-            with self._gate:
-                self._paused = True
-                while self._inflight:
-                    self._gate.wait()
-            try:
-                plan = partition_datasets(
-                    data_objects,
-                    feature_objects,
-                    self.cluster.shards,
-                    max_radius=self.cluster.max_radius,
-                )
-                version = self._dataset_version + 1
-                epoch = f"v{version}"
-                self._current_data = list(data_objects)
-                self._current_features = list(feature_objects)
-                for url in self._membership.urls():
-                    if self._membership.status_of(url).state == "dead":
-                        continue
-                    self._push_dataset(url, epoch)
-                self._plan = plan
-                self._dataset_version = version
-                self._epoch = epoch
-                self._cache.invalidate()
-                self._defaults = resolve_request_defaults(
-                    plan.extent,
-                    self._engine_config.grid_size,
-                    self._service_config,
-                )
-                with self._lock:
-                    self._counters.swaps += 1
-            finally:
-                with self._gate:
-                    self._paused = False
-                    self._gate.notify_all()
-        return self.dataset_info()
-
-    def set_datasets(
-        self,
+        plan: ShardingPlan,
         data_objects: Sequence[DataObject],
         feature_objects: Sequence[FeatureObject],
     ) -> None:
-        """Alias of :meth:`swap_datasets` (the :class:`QueryService` name)."""
-        self.swap_datasets(data_objects, feature_objects)
+        """Push the full new snapshot with a fresh epoch to every live node.
+
+        Each node repartitions deterministically and swaps its slice under
+        its own quiesce gate.  A node the push could not reach keeps its
+        old epoch: it is excluded from routing (its shard's other replicas
+        answer, or the shard goes degraded) until the heartbeat loop
+        resynchronises it.
+        """
+        epoch = f"v{self._dataset_version + 1}"
+        self._current_data = list(data_objects)
+        self._current_features = list(feature_objects)
+        payload = self._dataset_payload(epoch)
+        for url in self._live_nodes():
+            self._push(url, "datasets", payload)
+        self._epoch = epoch
 
     def dataset_info(self) -> Dict[str, object]:
         """Version, epoch and sizes of the current (full) dataset snapshot."""
@@ -777,16 +424,17 @@ class ClusterRouter:
         before any node sees it), folded into the router's own copy (the
         resync source of truth), then routed by the same rules
         :func:`~repro.sharding.partition.partition_datasets` applies at
-        build time: a data append goes to the nodes of the one shard whose
-        cell contains it, a feature append is replicated to every shard
-        within ``max_radius`` (all shards when unbounded), deletes are
-        broadcast (node deltas are idempotent).  Every write batch mints a
-        fresh cluster epoch and is pushed to **every** non-dead node --
-        nodes the batch routes nothing to get a pure epoch bump -- so the
-        whole fleet moves epochs together.  A node the push cannot reach
-        keeps its old epoch, drops out of routing, and is resynchronised
-        with a full snapshot by the heartbeat loop, exactly like a node
-        that slept through a hot swap.
+        build time (:func:`~repro.sharding.partition.route_objects`): a
+        data append goes to the nodes of the one shard whose cell contains
+        it, a feature append is replicated to every shard within
+        ``max_radius`` (all shards when unbounded), deletes are broadcast
+        (node deltas are idempotent).  Every write batch mints a fresh
+        cluster epoch and is pushed to **every** non-dead node -- nodes the
+        batch routes nothing to get a pure epoch bump -- so the whole fleet
+        moves epochs together.  A node the push cannot reach keeps its old
+        epoch, drops out of routing, and is resynchronised with a full
+        snapshot by the heartbeat loop, exactly like a node that slept
+        through a hot swap.
 
         Unlike single-process delta writes (which never block readers),
         a cluster write briefly quiesces the scatter gate: per-node applies
@@ -803,11 +451,7 @@ class ClusterRouter:
                 serving is not paused).
             RuntimeError: when the router is not started or shut down.
         """
-        with self._lock:
-            if not self._started:
-                raise RuntimeError("the query service is not started")
-            if self._closed:
-                raise RuntimeError("the query service is shut down")
+        self._require_serving()
         append_data = list(append_data)
         append_features = list(append_features)
         delete_data_oids = list(delete_data_oids)
@@ -827,139 +471,45 @@ class ClusterRouter:
                 extent=self._plan.extent,
             )
             counts.pop("delta_version", None)
-            with self._gate:
-                self._paused = True
-                while self._inflight:
-                    self._gate.wait()
-            try:
+            with self._gate.paused():
                 self._current_data, self._current_features = materialize(
                     self._current_data, self._current_features,
                     probe.snapshot(),
                 )
                 self._write_version += 1
                 epoch = f"v{self._dataset_version}w{self._write_version}"
-                sub_updates = self._route_update(
+                sub_data, sub_features = route_objects(
+                    self._plan.layout, self._max_radius,
                     append_data, append_features,
-                    delete_data_oids, delete_feature_oids,
                 )
-                for url in self._membership.urls():
-                    status = self._membership.status_of(url)
-                    if status.state == "dead":
-                        continue
-                    self._push_objects(
-                        url, sub_updates[status.shard_index], epoch
-                    )
+                for url in self._live_nodes():
+                    shard = self._membership.status_of(url).shard_index
+                    self._push(url, "objects", _objects_payload(
+                        sub_data[shard], sub_features[shard],
+                        delete_data_oids, delete_feature_oids, epoch,
+                    ))
                 self._epoch = epoch
                 with self._lock:
                     self._counters.write_batches += 1
-            finally:
-                with self._gate:
-                    self._paused = False
-                    self._gate.notify_all()
         return {
             **counts,
             "dataset_epoch": epoch,
             "write_version": self._write_version,
         }
 
-    def _route_update(
-        self,
-        append_data: Sequence[DataObject],
-        append_features: Sequence[FeatureObject],
-        delete_data_oids: Sequence[str],
-        delete_feature_oids: Sequence[str],
-    ) -> List[Dict[str, object]]:
-        """Slice one validated batch into per-shard sub-updates."""
-        num_shards = self.cluster.shards
-        grid = self._plan.grid
-        sub_data: List[List[DataObject]] = [[] for _ in range(num_shards)]
-        for obj in append_data:
-            sub_data[grid.locate(obj.x, obj.y) - 1].append(obj)
-        sub_features: List[List[FeatureObject]] = [
-            [] for _ in range(num_shards)
-        ]
-        if append_features:
-            if self.cluster.max_radius is None or num_shards == 1:
-                for shard_id in range(num_shards):
-                    sub_features[shard_id] = list(append_features)
-            else:
-                partitioner = GridPartitioner(grid, self.cluster.max_radius)
-                for feature in append_features:
-                    for cell_id in partitioner.assign_feature_object(feature):
-                        sub_features[cell_id - 1].append(feature)
-        return [
-            {
-                "append_data": sub_data[shard_id],
-                "append_features": sub_features[shard_id],
-                "delete_data_oids": list(delete_data_oids),
-                "delete_feature_oids": list(delete_feature_oids),
-            }
-            for shard_id in range(num_shards)
-        ]
-
-    def _push_objects(
-        self, url: str, sub_update: Mapping[str, object], epoch: str
-    ) -> bool:
-        """POST one shard's slice of a write batch to one node."""
-        payload = _objects_payload(sub_update, epoch)
-        try:
-            post_json(
-                f"{url}/objects", payload, timeout=self.cluster.node_deadline
-            )
-        except NodeTransportError:
-            self._membership.mark_failure(url)
-            return False
-        except InvalidQueryError:
-            # A node that rejects the sub-update (4xx) diverged from the
-            # router's snapshot; its stale epoch keeps it out of routing
-            # until the heartbeat loop resyncs it with a full snapshot.
-            return False
-        self._membership.mark_success(url, dataset_epoch=epoch)
-        return True
-
     # ------------------------------------------------------------------ #
     # introspection
 
-    @property
-    def admission(self) -> AdmissionController:
-        """The front-door admission controller (nodes run without one)."""
-        return self._admission
-
-    @property
-    def plan(self) -> ShardingPlan:
-        """The current partitioning plan (replaced wholesale by hot swaps)."""
-        return self._plan
-
-    def stats(self) -> Dict[str, object]:
-        """Aggregate router statistics (the cluster ``GET /stats`` payload).
+    def _mode_stats(self, counters: _RouterCounters) -> Dict[str, object]:
+        """The ``cluster`` subtree, ingest, dataset and defaults.
 
         Local-only by design: the tree is built from the router's own
         counters and the membership registry -- no node round-trips, so
         ``/stats`` stays cheap and answers even with the fleet down.
         Per-node counter trees live on the nodes' own ``GET /stats``.
         """
-        with self._lock:
-            counters = _ClusterCounters(**vars(self._counters))
         plan_stats = self._plan.stats
         return {
-            "uptime_seconds": self.uptime_seconds(),
-            "started": self._started,
-            "closed": self._closed,
-            "requests": {
-                "submitted": counters.submitted,
-                "completed": counters.completed,
-                "failed": counters.failed,
-                "result_cache_hits": counters.cache_hits,
-                "failovers": counters.failovers,
-                "degraded_responses": counters.degraded_responses,
-            },
-            "latency": self._latency.snapshot(),
-            "admission": self._admission.snapshot(),
-            "result_cache": {
-                "capacity": self._cache.capacity,
-                "size": len(self._cache),
-                **self._cache.stats.as_dict(),
-            },
             "cluster": {
                 "shards": plan_stats.num_shards,
                 "layout": list(plan_stats.layout),
@@ -987,64 +537,48 @@ class ClusterRouter:
         }
 
 
+def _feature_entry(obj: FeatureObject) -> Dict[str, object]:
+    """One feature object as a JSON body entry."""
+    return {
+        "oid": obj.oid,
+        "x": obj.x,
+        "y": obj.y,
+        "keywords": sorted(obj.keywords),
+    }
+
+
 def _objects_payload(
-    sub_update: Mapping[str, object], epoch: str
+    append_data: Sequence[DataObject],
+    append_features: Sequence[FeatureObject],
+    delete_data_oids: Sequence[str],
+    delete_feature_oids: Sequence[str],
+    epoch: str,
 ) -> Dict[str, object]:
     """The ``POST /objects`` body for one shard's slice of a write batch.
 
-    An all-empty sub-update still produces a valid body -- just the epoch
-    tag -- which the node HTTP handler accepts as a pure epoch bump.
+    An all-empty slice still produces a valid body -- just the epoch tag
+    -- which the node HTTP handler accepts as a pure epoch bump.
     """
     payload: Dict[str, object] = {"epoch": epoch}
     append: Dict[str, object] = {}
-    if sub_update["append_data"]:
+    if append_data:
         append["data_objects"] = [
-            {"oid": obj.oid, "x": obj.x, "y": obj.y}
-            for obj in sub_update["append_data"]
+            {"oid": obj.oid, "x": obj.x, "y": obj.y} for obj in append_data
         ]
-    if sub_update["append_features"]:
+    if append_features:
         append["feature_objects"] = [
-            {
-                "oid": obj.oid,
-                "x": obj.x,
-                "y": obj.y,
-                "keywords": sorted(obj.keywords),
-            }
-            for obj in sub_update["append_features"]
+            _feature_entry(obj) for obj in append_features
         ]
     if append:
         payload["append"] = append
     delete: Dict[str, object] = {}
-    if sub_update["delete_data_oids"]:
-        delete["data_oids"] = list(sub_update["delete_data_oids"])
-    if sub_update["delete_feature_oids"]:
-        delete["feature_oids"] = list(sub_update["delete_feature_oids"])
+    if delete_data_oids:
+        delete["data_oids"] = list(delete_data_oids)
+    if delete_feature_oids:
+        delete["feature_oids"] = list(delete_feature_oids)
     if delete:
         payload["delete"] = delete
     return payload
-
-
-def _dataset_payload(
-    data_objects: Sequence[DataObject],
-    feature_objects: Sequence[FeatureObject],
-    epoch: str,
-) -> Dict[str, object]:
-    """The inline ``POST /datasets`` body for one full snapshot + epoch."""
-    return {
-        "epoch": epoch,
-        "data_objects": [
-            {"oid": obj.oid, "x": obj.x, "y": obj.y} for obj in data_objects
-        ],
-        "feature_objects": [
-            {
-                "oid": obj.oid,
-                "x": obj.x,
-                "y": obj.y,
-                "keywords": sorted(obj.keywords),
-            }
-            for obj in feature_objects
-        ],
-    }
 
 
 __all__ = ["ClusterConfig", "ClusterRouter", "NodeSpec"]

@@ -54,6 +54,7 @@ from repro.server.protocol import (
     parse_query_spec,
     result_payload,
 )
+from repro.server.quiesce import QuiesceGate
 from repro.spatial.geometry import BoundingBox
 
 
@@ -281,11 +282,8 @@ class QueryService:
         self._derive_extent_on_swap = extent is None
         #: Single-flight gate of the background auto-compaction thread.
         self._compaction_thread: Optional[threading.Thread] = None
-        #: Quiesce gate: while ``_paused`` no new micro-batch starts;
-        #: ``_inflight_batches`` counts batches currently executing.
-        self._pause_cond = threading.Condition()
-        self._paused = False
-        self._inflight_batches = 0
+        #: Quiesce gate: micro-batches run inside it, swaps pause it.
+        self._gate = QuiesceGate()
         self._checkpoint_stop = threading.Event()
         self._checkpoint_thread: Optional[threading.Thread] = None
         self._started = False
@@ -513,22 +511,13 @@ class QueryService:
             # this, a compaction's explicit extent pin would survive into
             # later full swaps and keep serving the *old* extent.
             extent = dataset_extent(data_objects, feature_objects)
-        with self._write_lock, self._swap_lock:
-            with self._pause_cond:
-                self._paused = True
-                while self._inflight_batches:
-                    self._pause_cond.wait()
-            try:
-                for engine in self._engines:
-                    engine.set_datasets(data_objects, feature_objects, extent=extent)
-                self._result_cache.invalidate()
-                self._defaults = self._resolve_defaults()
-                with self._lock:
-                    self._counters.swaps += 1
-            finally:
-                with self._pause_cond:
-                    self._paused = False
-                    self._pause_cond.notify_all()
+        with self._write_lock, self._swap_lock, self._gate.paused():
+            for engine in self._engines:
+                engine.set_datasets(data_objects, feature_objects, extent=extent)
+            self._result_cache.invalidate()
+            self._defaults = self._resolve_defaults()
+            with self._lock:
+                self._counters.swaps += 1
         return self.dataset_info()
 
     # ------------------------------------------------------------------ #
@@ -803,16 +792,8 @@ class QueryService:
         dispatch this blocks *before* touching the engine, so no batch ever
         runs against a half-swapped pool.
         """
-        with self._pause_cond:
-            while self._paused:
-                self._pause_cond.wait()
-            self._inflight_batches += 1
-        try:
+        with self._gate.entered():
             self._execute_batch_inner(worker_index, batch)
-        finally:
-            with self._pause_cond:
-                self._inflight_batches -= 1
-                self._pause_cond.notify_all()
 
     def _execute_batch_inner(
         self, worker_index: int, batch: Sequence[PendingRequest]

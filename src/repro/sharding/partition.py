@@ -139,6 +139,35 @@ class ShardingPlan:
         return grid_size % cols == 0 and grid_size % rows == 0
 
 
+def route_objects(
+    layout: ShardLayout,
+    max_radius: Optional[float],
+    data_objects: Sequence[DataObject],
+    feature_objects: Sequence[FeatureObject],
+) -> Tuple[List[List[DataObject]], List[List[FeatureObject]]]:
+    """Per-shard slices of ``data_objects`` and ``feature_objects``.
+
+    The one routing rule of the sharding stack: a data object goes to the
+    one shard enclosing it (:meth:`ShardLayout.locate`), a feature object
+    to every shard within ``max_radius`` of it
+    (:meth:`ShardLayout.shards_within`, Lemma 1 at shard granularity) or
+    to every shard when ``max_radius`` is None.  Both slices keep the
+    input order.  :func:`partition_datasets` splits a full dataset with
+    it, and the routers split every incremental write batch with it.
+    """
+    num_shards = layout.num_shards
+    shard_data: List[List[DataObject]] = [[] for _ in range(num_shards)]
+    for obj in data_objects:
+        shard_data[layout.locate(obj.x, obj.y)].append(obj)
+    if max_radius is None or num_shards == 1:
+        return shard_data, [list(feature_objects) for _ in range(num_shards)]
+    shard_features: List[List[FeatureObject]] = [[] for _ in range(num_shards)]
+    for feature in feature_objects:
+        for shard_id in layout.shards_within(feature.x, feature.y, max_radius):
+            shard_features[shard_id].append(feature)
+    return shard_data, shard_features
+
+
 def partition_datasets(
     data_objects: Sequence[DataObject],
     feature_objects: Sequence[FeatureObject],
@@ -202,33 +231,19 @@ def partition_datasets(
             "or a ShardLayout"
         )
 
+    shard_data, shard_features = route_objects(
+        shard_extents, max_radius, data_objects, feature_objects
+    )
     shards = [
-        ShardDataset(shard_id=shard_id, box=box)
+        ShardDataset(shard_id, box, shard_data[shard_id], shard_features[shard_id])
         for shard_id, box in enumerate(shard_extents.boxes)
     ]
-    for obj in data_objects:
-        shards[shard_extents.locate(obj.x, obj.y)].data_objects.append(obj)
-
-    produced = shard_extents.num_shards
-    num_copies = 0
-    if max_radius is None or produced == 1:
-        for shard in shards:
-            shard.feature_objects = list(feature_objects)
-        num_copies = len(feature_objects) * produced
-    else:
-        for feature in feature_objects:
-            for shard_id in shard_extents.shards_within(
-                feature.x, feature.y, max_radius
-            ):
-                shards[shard_id].feature_objects.append(feature)
-                num_copies += 1
-
     stats = ShardingStats(
-        num_shards=produced,
+        num_shards=shard_extents.num_shards,
         layout=shard_extents.dims,
         num_data=len(data_objects),
         num_features=len(feature_objects),
-        num_feature_copies=num_copies,
+        num_feature_copies=sum(len(copies) for copies in shard_features),
         empty_shards=sum(1 for shard in shards if shard.is_empty),
         kind=shard_extents.kind,
     )
@@ -247,5 +262,6 @@ __all__ = [
     "ShardingPlan",
     "ShardingStats",
     "partition_datasets",
+    "route_objects",
     "shard_layout",
 ]

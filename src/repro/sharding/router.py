@@ -1,38 +1,45 @@
-"""Scatter-gather query router over per-shard query services.
+"""Scatter-gather query routing: the shared router core and the sharded router.
 
-:class:`ShardRouter` is the sharded counterpart of
-:class:`~repro.server.service.QueryService` and serves the same request
-objects through the same front-end (``repro serve --shards N``):
+:class:`ScatterGatherRouter` is the one scatter-gather core behind both
+scale-out modes.  It duck-types the :class:`~repro.server.service.
+QueryService` serving surface (``submit``, ``submit_many``, ``stats``,
+``uptime_seconds``, ``swap_datasets``, context manager), so
+:func:`repro.server.http.make_server` serves a router and a plain service
+interchangeably:
 
-* at build time the dataset is split by :func:`~repro.sharding.partition.
-  partition_datasets` and one :class:`QueryService` is started per shard,
-  each over the shard's slice but gridding over the *full* dataset extent,
-  so every shard engine's query grid is cell-for-cell the unsharded
-  engine's grid;
-* a request is parsed and resolved once at the router, answered from the
-  router's result cache when possible, and otherwise *scattered* -- in
-  parallel -- to every shard that owns data (the routing rule; feature
-  reach was already resolved at partition time by the ``MINDIST <=
-  max_radius`` replication rule);
+* a request is parsed, resolved and admission-gated once at the router,
+  answered from the router's result cache when possible, and otherwise
+  *scattered* -- in parallel -- to every shard that owns data (the routing
+  rule; feature reach was already resolved at partition time by the
+  ``MINDIST <= max_radius`` replication rule);
 * the per-shard top-k partials are *gathered* through
   :func:`~repro.model.result.merge_top_k` -- the same merge, with the same
   ``(-score, oid)`` tie order, the engine uses for per-cell lists -- which
   is associative, so the merged result equals a single unsharded engine's
   (see :meth:`~repro.sharding.partition.ShardingPlan.grid_aligned` for the
   exact tie contract);
-* hot swaps (``POST /datasets``) quiesce the router (in-flight scatter
-  requests drain, new ones queue at the gate), repartition, swap every
-  shard atomically and invalidate the router's result cache by bumping the
-  router dataset version;
-* **rebalancing** (``POST /rebalance``, or the background controller when
-  ``--rebalance-threshold`` is set) recomputes a skew-aware
-  :class:`~repro.sharding.layout.ShardLayout` from the live data
-  histogram, materializes the current base+delta state in bulk-swap order
-  and applies it through the same quiesce path -- the dataset content is
-  unchanged, so answers stay bit-for-bit identical across the layout
-  change, and freshly populated shards re-seed their planner calibrators
-  from the shared snapshot (the PR-7 ``calibration_seed_path`` rule)
-  instead of starting cold.
+* hot swaps (``POST /datasets``) pause the router's
+  :class:`~repro.server.quiesce.QuiesceGate` (in-flight scatter requests
+  drain, new ones queue at the gate), repartition, hand the new plan to
+  every slice and invalidate the router's result cache by bumping the
+  router dataset version.
+
+A mode supplies how one slice is asked, how a swap or write reaches the
+slices, and its stats subtree.  :class:`ShardRouter` (``repro serve
+--shards N``) asks one in-process :class:`QueryService` per shard, each
+over the shard's slice but gridding over the *full* dataset extent, so
+every shard engine's query grid is cell-for-cell the unsharded engine's;
+:class:`~repro.cluster.router.ClusterRouter` (``--cluster N``) asks node
+processes over HTTP.  The sharded router also **rebalances**
+(``POST /rebalance``, or the background controller when
+``--rebalance-threshold`` is set): it recomputes a skew-aware
+:class:`~repro.sharding.layout.ShardLayout` from the live data histogram,
+materializes the current base+delta state in bulk-swap order and applies
+it through the same quiesce path -- the dataset content is unchanged, so
+answers stay bit-for-bit identical across the layout change, and freshly
+populated shards re-seed their planner calibrators from the shared
+snapshot (the PR-7 ``calibration_seed_path`` rule) instead of starting
+cold.
 
 ``benchmarks/bench_sharding.py --check`` gates result identity, 4-shard
 throughput and loss-free hot swaps under load;
@@ -43,30 +50,49 @@ on clustered data plus loss-free rebalancing under load.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.core.engine import ALGORITHM_CHOICES, EngineConfig
+from repro.core.engine import (
+    ALGORITHM_CHOICES,
+    EngineConfig,
+    validate_algorithm_combination,
+)
 from repro.exceptions import InvalidQueryError, OverloadError
 from repro.index.delta import DatasetDelta, materialize
 from repro.model.objects import DataObject, FeatureObject
 from repro.model.result import QueryResult, ScoredObject, merge_top_k
+from repro.planner.core import resolve_planner_mode
 from repro.planner.persistence import scoped_calibration_path
 from repro.server.admission import AdmissionController
 from repro.server.cache import ResultCache
 from repro.server.metrics import LatencyHistogram
 from repro.server.protocol import ParsedRequest, parse_query_spec, result_payload
+from repro.server.quiesce import QuiesceGate
 from repro.server.service import (
     QueryService,
     ServiceConfig,
     resolve_request_defaults,
 )
 from repro.sharding.layout import LAYOUT_CHOICES
-from repro.sharding.partition import ShardingPlan, partition_datasets
+from repro.sharding.partition import (
+    ShardingPlan,
+    partition_datasets,
+    route_objects,
+)
 from repro.spatial.geometry import BoundingBox
+
+#: ``(shard id, response payload)`` of every slice that answered.
+SliceResponses = List[Tuple[int, Dict[str, object]]]
+
+#: A disabled controller (every hook is a no-op).  Router batches are
+#: served through it: like ``QueryService.submit_many``, a batch is a
+#: trusted all-or-nothing bulk surface that admission must not shed.
+_NO_ADMISSION = AdmissionController()
 
 
 @dataclass
@@ -78,9 +104,6 @@ class ShardingConfig:
         max_radius: Largest query radius the shards answer exactly; the
             feature replication radius of the partitioner.  ``None``
             replicates every feature to every shard and accepts any radius.
-        scatter_threads: Size of the scatter thread pool (one task per
-            shard per in-flight request).  ``None`` picks
-            ``min(64, shards * 8)``.
         layout: Initial shard layout kind: ``"uniform"`` (the historical
             most-square extent split) or ``"skew"`` (count-balancing kd
             split over the data histogram; see
@@ -101,7 +124,6 @@ class ShardingConfig:
 
     shards: int = 2
     max_radius: Optional[float] = None
-    scatter_threads: Optional[int] = None
     layout: str = "uniform"
     layout_resolution: Optional[int] = None
     rebalance_threshold: Optional[float] = None
@@ -111,7 +133,11 @@ class ShardingConfig:
 
 @dataclass
 class _RouterCounters:
-    """Mutable request accounting (guarded by the router lock)."""
+    """Mutable request accounting (guarded by the router lock).
+
+    One set for both modes; each mode's :meth:`ScatterGatherRouter.stats`
+    reports the counters it uses.
+    """
 
     submitted: int = 0
     completed: int = 0
@@ -120,16 +146,544 @@ class _RouterCounters:
     swaps: int = 0
     write_batches: int = 0
     rebalances: int = 0
+    failovers: int = 0
+    degraded_responses: int = 0
+    resyncs: int = 0
 
 
-class ShardRouter:
-    """Scatter-gather front-end over one :class:`QueryService` per shard.
+class ScatterGatherRouter:
+    """The scatter-gather core shared by the sharded and cluster routers.
 
-    Duck-types the :class:`QueryService` serving surface (``submit``,
-    ``submit_many``, ``stats``, ``uptime_seconds``, ``swap_datasets``,
-    context manager), so :func:`repro.server.http.make_server` serves a
-    router and a plain service interchangeably.
+    Subclasses implement the mode-specific parts:
+
+    * ``_query_slice(shard_id, spec)`` -- one slice's response payload for
+      a resolved spec, or None when no replica of the slice answered (a
+      degraded answer);
+    * ``_install_slices(plan, data_objects, feature_objects)`` -- hand a
+      new plan to the slices (runs with the gate paused);
+    * ``_cache_version()`` -- the composite result-cache version (dataset
+      snapshot + write stream);
+    * ``dataset_info()``, ``_response_stats(missing)`` (the mode's keys
+      in one response's stats subtree) and ``_mode_stats(counters)`` (the
+      mode's part of :meth:`stats`);
+    * optionally the lifecycle hooks :meth:`_start_slices`,
+      :meth:`_stop_background` and :meth:`_close_slices`.
     """
+
+    #: Key of the mode's subtree in response stats and :meth:`stats`.
+    mode = ""
+    #: Mode-specific counters reported under ``stats()["requests"]``.
+    _request_counters: Tuple[str, ...] = ()
+
+    def __init__(
+        self,
+        data_objects: Sequence[DataObject],
+        feature_objects: Sequence[FeatureObject],
+        shards: int,
+        max_radius: Optional[float],
+        engine_config: Optional[EngineConfig],
+        service_config: Optional[ServiceConfig],
+        layout: str = "uniform",
+        layout_resolution: Optional[int] = None,
+    ) -> None:
+        """Partition the dataset and set up the shared serving state.
+
+        Raises:
+            ValueError: for a non-positive shard count.
+            InvalidQueryError: for a negative ``max_radius``.
+            JobConfigurationError: for an invalid planner mode.
+        """
+        if shards < 1:
+            raise ValueError(f"shards must be >= 1, got {shards}")
+        self._engine_config = engine_config or EngineConfig()
+        self._service_config = service_config or ServiceConfig()
+        #: Validation follows the slices' planner mode: ``"auto"`` is
+        #: rejected up front when the planner is off.
+        self._planner_mode = resolve_planner_mode(self._engine_config.planner_mode)
+        self._num_shards = shards
+        self._max_radius = max_radius
+        self._layout_kind = layout
+        self._layout_resolution = layout_resolution
+        self._plan = partition_datasets(
+            data_objects,
+            feature_objects,
+            shards,
+            max_radius=max_radius,
+            layout=layout,
+            layout_resolution=layout_resolution,
+        )
+        self._defaults = resolve_request_defaults(
+            self._plan.extent, self._engine_config.grid_size, self._service_config
+        )
+        self._cache = ResultCache(self._service_config.result_cache_capacity)
+        #: Admission happens once, at the router: the slices run with
+        #: admission disabled, so a request admitted here can never be
+        #: half-shed by one slice of its scatter.  Same 429 contract as an
+        #: unsharded service.
+        self._admission = AdmissionController(
+            queue_depth=self._service_config.admission_queue_depth,
+            default_deadline_ms=self._service_config.default_deadline_ms,
+        )
+        self._latency = LatencyHistogram()
+        self._counters = _RouterCounters()
+        self._dataset_version = 0
+        self._lock = threading.Lock()
+        #: Serializes hot swaps, rebalances, writes and resyncs.
+        self._swap_lock = threading.Lock()
+        #: Requests scatter inside the gate; swaps and cluster write pushes
+        #: pause it, shutdown closes it.
+        self._gate = QuiesceGate()
+        self._pool: Optional[ThreadPoolExecutor] = None
+        self._started = False
+        self._started_monotonic: Optional[float] = None
+
+    # ------------------------------------------------------------------ #
+    # lifecycle
+
+    def start(self) -> "ScatterGatherRouter":
+        """Start the scatter pool and the slices (idempotent)."""
+        with self._lock:
+            if self._started or self._gate.closed:
+                return self
+            self._started = True
+            self._started_monotonic = time.monotonic()
+        self._pool = ThreadPoolExecutor(
+            max_workers=min(64, self._num_shards * 8),
+            thread_name_prefix=f"repro-{self.mode}-scatter",
+        )
+        self._start_slices()
+        return self
+
+    def shutdown(self) -> None:
+        """Drain in-flight requests, then tear everything down (idempotent).
+
+        A request that passed the submission check races shutdown; tearing
+        the scatter pool down under it would fail an accepted request (the
+        close-while-serving race class).  Instead the gate closes first --
+        accepted requests complete, requests that reach the gate afterwards
+        are rejected cleanly -- then background threads stop, and only then
+        are the pool and the slices stopped (serialized against a
+        concurrent :meth:`swap_datasets` via the swap lock).
+        """
+        if not self._gate.close():
+            return
+        self._stop_background()
+        with self._swap_lock:
+            if self._pool is not None:
+                self._pool.shutdown(wait=True)
+            self._close_slices()
+
+    def __enter__(self) -> "ScatterGatherRouter":
+        return self.start()
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.shutdown()
+
+    @property
+    def closed(self) -> bool:
+        """True once :meth:`shutdown` has been called."""
+        return self._gate.closed
+
+    def uptime_seconds(self) -> float:
+        """Seconds since :meth:`start` (0.0 before it); lock-free."""
+        started = self._started_monotonic
+        return time.monotonic() - started if started is not None else 0.0
+
+    def _require_serving(self) -> None:
+        """Raise unless the router is started and not shut down."""
+        if not self._started:
+            raise RuntimeError("the query service is not started")
+        if self._gate.closed:
+            raise RuntimeError("the query service is shut down")
+
+    def _start_slices(self) -> None:
+        """Bring the slices up (called once by :meth:`start`)."""
+
+    def _stop_background(self) -> None:
+        """Stop the mode's background thread (before the pool stops)."""
+
+    def _close_slices(self) -> None:
+        """Tear the slices down (under the swap lock, after the pool)."""
+
+    # ------------------------------------------------------------------ #
+    # serving
+
+    def submit(self, spec: Mapping[str, object]) -> Dict[str, object]:
+        """Serve one request object; returns its response payload.
+
+        Identical request/response contract to :meth:`QueryService.submit`;
+        see :mod:`repro.server.protocol`.  Additionally rejects queries
+        whose radius exceeds the configured ``max_radius`` (the shards'
+        feature replication cannot answer them exactly).
+
+        Raises:
+            InvalidQueryError: for an invalid request or an over-radius one.
+            OverloadError: when admission control sheds the request.
+            RuntimeError: when the router is not started or already shut
+                down.
+        """
+        return self._serve(self._parse(spec), self._admission)
+
+    def submit_many(
+        self, specs: Sequence[Mapping[str, object]]
+    ) -> List[Dict[str, object]]:
+        """Serve a batch of request objects; responses in input order.
+
+        All requests are validated up front (the whole batch is rejected if
+        any is invalid, mirroring ``QueryService.submit_many``), then served
+        concurrently on a batch-local thread pool so their scatter-gather
+        round-trips overlap -- the pool is distinct from the scatter pool
+        (batch tasks block on scatter tasks, never the reverse, so the two
+        levels cannot deadlock each other).  Like
+        ``QueryService.submit_many`` the batch bypasses admission control:
+        shedding individual requests out of an all-or-nothing batch would
+        break its contract.
+        """
+        parsed_list = [self._parse(spec) for spec in specs]
+        serve = functools.partial(self._serve, admission=_NO_ADMISSION)
+        if len(parsed_list) <= 1:
+            return [serve(parsed) for parsed in parsed_list]
+        with ThreadPoolExecutor(
+            max_workers=min(len(parsed_list), 8),
+            thread_name_prefix=f"repro-{self.mode}-batch",
+        ) as pool:
+            return list(pool.map(serve, parsed_list))
+
+    def _parse(self, spec: Mapping[str, object]) -> ParsedRequest:
+        parsed = parse_query_spec(spec, self._defaults, ALGORITHM_CHOICES)
+        validate_algorithm_combination(
+            parsed.item.algorithm,
+            parsed.item.score_mode,
+            planner_mode=self._planner_mode,
+        )
+        radius = parsed.item.query.radius
+        if self._max_radius is not None and radius > self._max_radius:
+            raise InvalidQueryError(
+                f"query radius {radius} exceeds the shard replication "
+                f"radius (max_radius={self._max_radius}); features beyond "
+                "it were not replicated across shard boundaries, so the "
+                f"{self.mode} router cannot answer this query exactly"
+            )
+        return parsed
+
+    def _serve(
+        self, parsed: ParsedRequest, admission: AdmissionController
+    ) -> Dict[str, object]:
+        started = time.monotonic()
+        self._require_serving()
+        with self._lock:
+            self._counters.submitted += 1
+        deadline = admission.resolve_deadline(parsed.deadline_ms)
+        admission.on_arrival(deadline)
+        admission.acquire()
+        try:
+            response = self._serve_admitted(parsed, deadline)
+        except BaseException as exc:
+            # An OverloadError past admission is the gate's queue-expiry
+            # check (the request was admitted, then its deadline passed
+            # while waiting at a swap-paused gate) or a 429 relayed from a
+            # node that runs its own admission.  Either way the client sees
+            # a 429, so it lands in the shed bucket.
+            admission.release(
+                "expired" if isinstance(exc, OverloadError) else "failed"
+            )
+            with self._lock:
+                self._counters.failed += 1
+            raise
+        latency = time.monotonic() - started
+        admission.release("completed", latency)
+        self._latency.record(latency)
+        with self._lock:
+            self._counters.completed += 1
+        return response
+
+    def _serve_admitted(
+        self, parsed: ParsedRequest, deadline: Optional[float]
+    ) -> Dict[str, object]:
+        """Gate entry + scatter-gather for one admitted request."""
+        with self._gate.entered():
+            # A swap may have held the gate long enough to blow the
+            # request's budget; shedding it here (explicit 429) instead of
+            # serving a too-late answer is what "quiesce under overload
+            # loses nothing" means -- every request still gets a definite
+            # outcome.
+            if self._admission.expired_in_queue(deadline):
+                raise self._admission.queue_expiry_error()
+            return self._serve_gated(parsed)
+
+    def _serve_gated(self, parsed: ParsedRequest) -> Dict[str, object]:
+        """Cache probe + scatter-gather; runs inside the quiesce gate."""
+        key = parsed.canonical_key(self._cache_version())
+        if self._cache.enabled:
+            payload = self._cache.get(key)
+            if payload is not None:
+                payload["cached"] = True
+                if not parsed.include_stats:
+                    payload.pop("stats", None)
+                with self._lock:
+                    self._counters.cache_hits += 1
+                return payload
+
+        answered, missing = self._scatter(parsed)
+        full = self._gather(parsed, answered, missing)
+        if not missing:
+            # A degraded (partial) answer must never be served to a later
+            # healthy request from the cache.
+            self._cache.put(key, full)
+        response = dict(full)
+        if not parsed.include_stats:
+            response.pop("stats", None)
+        return response
+
+    def _scatter(
+        self, parsed: ParsedRequest
+    ) -> Tuple[SliceResponses, List[int]]:
+        """Fan out to every data-bearing shard; returns (answered, missing).
+
+        The scattered spec is fully resolved (every field explicit), so the
+        slices' own defaults can never reinterpret it, and it always asks
+        for stats: the router caches the stats-bearing merged payload (the
+        same trick ``QueryService`` uses) and strips on answer.  Every
+        slice gets the same spec object.
+        """
+        item = parsed.item
+        spec: Dict[str, object] = {
+            "keywords": sorted(item.query.keywords),
+            "k": item.query.k,
+            "radius": item.query.radius,
+            "algorithm": item.algorithm,
+            "grid_size": item.grid_size,
+            "score_mode": item.score_mode,
+            "stats": True,
+        }
+        targets = [
+            shard.shard_id for shard in self._plan.shards if not shard.is_empty
+        ]
+        if len(targets) == 1:
+            outcomes = [self._query_slice(targets[0], spec)]
+        else:
+            assert self._pool is not None  # started before any request is gated
+            futures = [
+                self._pool.submit(self._query_slice, shard_id, spec)
+                for shard_id in targets
+            ]
+            outcomes = [future.result() for future in futures]
+        answered: SliceResponses = []
+        missing: List[int] = []
+        for shard_id, response in zip(targets, outcomes):
+            if response is None:
+                missing.append(shard_id)
+            else:
+                answered.append((shard_id, response))
+        return answered, missing
+
+    def _gather(
+        self,
+        parsed: ParsedRequest,
+        answered: SliceResponses,
+        missing: List[int],
+    ) -> Dict[str, object]:
+        """Merge per-shard partials into the stats-bearing response payload.
+
+        When shards are missing the payload is still returned from the
+        shards that answered, explicitly marked ``"degraded": true`` with
+        ``"shards_answered"`` / ``"shards_missing"`` listed.
+        """
+        partials: List[List[ScoredObject]] = [
+            [
+                ScoredObject(
+                    DataObject(oid=entry["oid"], x=entry["x"], y=entry["y"]),
+                    entry["score"],
+                )
+                for entry in response["results"]
+            ]
+            for _, response in answered
+        ]
+        entries = merge_top_k(partials, parsed.item.query.k)
+        stats = self._aggregate_stats(parsed, answered, missing)
+        stats_parsed = ParsedRequest(item=parsed.item, include_stats=True)
+        payload = result_payload(stats_parsed, QueryResult(entries, stats=stats))
+        if missing:
+            payload["degraded"] = True
+            payload["shards_answered"] = sorted(
+                shard_id for shard_id, _ in answered
+            )
+            payload["shards_missing"] = sorted(missing)
+            with self._lock:
+                self._counters.degraded_responses += 1
+        return payload
+
+    def _aggregate_stats(
+        self,
+        parsed: ParsedRequest,
+        answered: SliceResponses,
+        missing: List[int],
+    ) -> Dict[str, object]:
+        """Router-level stats tree: sums of shard work, makespan of shard time.
+
+        ``simulated_seconds`` is the *maximum* over shards -- they execute
+        in parallel, so the simulated sharded job time is the slowest
+        shard's -- while the work counters are sums.  Per-shard planner
+        decisions are surfaced under ``<mode>.planned_algorithms``; the
+        top-level ``planned_algorithm`` is set only when every queried
+        shard chose the same one.
+        """
+        stats: Dict[str, object] = {
+            "algorithm": parsed.item.algorithm,
+            "grid_size": parsed.item.grid_size,
+        }
+        summed = (
+            "shuffled_records",
+            "features_pruned",
+            "features_examined",
+            "score_computations",
+        )
+        totals: Dict[str, float] = dict.fromkeys(summed, 0)
+        makespan = 0.0
+        planned: Dict[str, str] = {}
+        for shard_id, response in answered:
+            shard_stats = response.get("stats", {})
+            for name in summed:
+                if name in shard_stats:
+                    totals[name] += shard_stats[name]
+            makespan = max(makespan, shard_stats.get("simulated_seconds", 0.0))
+            if "planned_algorithm" in response:
+                planned[str(shard_id)] = response["planned_algorithm"]
+            if "backend" in shard_stats and "backend" not in stats:
+                stats["backend"] = shard_stats["backend"]
+                stats["workers"] = shard_stats.get("workers")
+        stats.update(totals)
+        stats["simulated_seconds"] = makespan
+        stats[self.mode] = {
+            "shards_queried": len(answered),
+            **self._response_stats(sorted(missing)),
+            "planned_algorithms": planned or None,
+        }
+        if planned and len(set(planned.values())) == 1:
+            stats["planned_algorithm"] = next(iter(planned.values()))
+        return stats
+
+    # ------------------------------------------------------------------ #
+    # datasets
+
+    def swap_datasets(
+        self,
+        data_objects: Sequence[DataObject],
+        feature_objects: Sequence[FeatureObject],
+    ) -> Dict[str, object]:
+        """Hot-swap the dataset across every slice; returns new snapshot info.
+
+        The two-level quiesce protocol:
+
+        1. the router gate pauses: in-flight scatter-gather requests drain
+           (each sees one consistent slice generation), new requests queue
+           at the gate instead of failing;
+        2. the new dataset is repartitioned over its new extent and handed
+           to every slice (shard services swap under their own quiesce;
+           cluster nodes receive the full snapshot with a new epoch);
+        3. the router dataset version is bumped -- every cached result
+           becomes unreachable -- defaults re-derive from the new extent,
+           and the gate reopens.
+
+        No request is lost: requests queued at the gate are served from the
+        new snapshot once the gate reopens.
+        """
+        with self._swap_lock:
+            self._install_locked(
+                data_objects, feature_objects, self._layout_kind
+            )
+            with self._lock:
+                self._counters.swaps += 1
+        return self.dataset_info()
+
+    def _install_locked(
+        self,
+        data_objects: Sequence[DataObject],
+        feature_objects: Sequence[FeatureObject],
+        layout: str,
+        extent: Optional[BoundingBox] = None,
+    ) -> ShardingPlan:
+        """Repartition + apply a dataset under the paused gate.
+
+        The shared tail of hot swaps and rebalances; the caller must hold
+        ``_swap_lock``.  Pauses the gate (in-flight scatter-gathers drain),
+        hands the new plan to the slices, bumps the router dataset version
+        -- every cached result becomes unreachable -- re-derives the
+        defaults and reopens the gate.
+        """
+        with self._gate.paused():
+            plan = partition_datasets(
+                data_objects,
+                feature_objects,
+                self._num_shards,
+                max_radius=self._max_radius,
+                extent=extent,
+                layout=layout,
+                layout_resolution=self._layout_resolution,
+            )
+            self._install_slices(plan, data_objects, feature_objects)
+            self._plan = plan
+            self._layout_kind = plan.stats.kind
+            self._dataset_version += 1
+            self._cache.invalidate()
+            self._defaults = resolve_request_defaults(
+                plan.extent,
+                self._engine_config.grid_size,
+                self._service_config,
+            )
+        return plan
+
+    # ------------------------------------------------------------------ #
+    # introspection
+
+    @property
+    def admission(self) -> AdmissionController:
+        """The router-level admission controller (slices run without one)."""
+        return self._admission
+
+    @property
+    def plan(self) -> ShardingPlan:
+        """The current sharding plan (replaced wholesale by hot swaps)."""
+        return self._plan
+
+    def stats(self) -> Dict[str, object]:
+        """Aggregate router statistics (the ``GET /stats`` payload).
+
+        The head mirrors the :meth:`QueryService.stats` shape where the
+        concepts coincide (requests, latency, admission, result cache);
+        the mode adds its own subtree and the rest (:meth:`_mode_stats`).
+        """
+        with self._lock:
+            counters = dataclasses.replace(self._counters)
+        return {
+            "uptime_seconds": self.uptime_seconds(),
+            "started": self._started,
+            "closed": self.closed,
+            "requests": {
+                "submitted": counters.submitted,
+                "completed": counters.completed,
+                "failed": counters.failed,
+                "result_cache_hits": counters.cache_hits,
+                **{
+                    name: getattr(counters, name)
+                    for name in self._request_counters
+                },
+            },
+            "latency": self._latency.snapshot(),
+            "admission": self._admission.snapshot(),
+            "result_cache": {
+                "capacity": self._cache.capacity,
+                "size": len(self._cache),
+                **self._cache.stats.as_dict(),
+            },
+            **self._mode_stats(counters),
+        }
+
+
+class ShardRouter(ScatterGatherRouter):
+    """Scatter-gather front-end over one :class:`QueryService` per shard."""
+
+    mode = "sharding"
 
     def __init__(
         self,
@@ -158,30 +712,28 @@ class ShardRouter:
             JobConfigurationError: for invalid engine configuration.
         """
         self.sharding = sharding or ShardingConfig()
-        if self.sharding.shards < 1:
-            raise ValueError(f"shards must be >= 1, got {self.sharding.shards}")
         if self.sharding.layout not in LAYOUT_CHOICES:
             raise ValueError(
                 f"unknown layout {self.sharding.layout!r}; "
                 f"expected one of {LAYOUT_CHOICES}"
             )
-        self._engine_config = engine_config or EngineConfig()
-        self._service_config = service_config or ServiceConfig()
-        #: Skew layouts snap to this grid; following the served default
-        #: query grid keeps the default grid layout-aligned.
-        self._layout_resolution = (
-            self.sharding.layout_resolution
-            or self._service_config.default_grid_size
-            or self._engine_config.grid_size
-        )
-        self._layout_kind = self.sharding.layout
-        self._plan = partition_datasets(
+        engine_config = engine_config or EngineConfig()
+        service_config = service_config or ServiceConfig()
+        super().__init__(
             data_objects,
             feature_objects,
             self.sharding.shards,
-            max_radius=self.sharding.max_radius,
-            layout=self._layout_kind,
-            layout_resolution=self._layout_resolution,
+            self.sharding.max_radius,
+            engine_config,
+            service_config,
+            layout=self.sharding.layout,
+            # Skew layouts snap to this grid; following the served default
+            # query grid keeps the default grid layout-aligned.
+            layout_resolution=(
+                self.sharding.layout_resolution
+                or service_config.default_grid_size
+                or engine_config.grid_size
+            ),
         )
         #: The base snapshot behind the shards, in storage order; together
         #: with the delta mirror this is what a rebalance materializes to
@@ -201,21 +753,6 @@ class ShardRouter:
             )
             for shard_id in range(self.sharding.shards)
         ]
-        self._defaults = resolve_request_defaults(
-            self._plan.extent, self._engine_config.grid_size, self._service_config
-        )
-        self._cache = ResultCache(self._service_config.result_cache_capacity)
-        #: Admission happens once, at the router: the per-shard services
-        #: run with admission disabled (see ``_shard_service_config``), so
-        #: a request admitted here can never be half-shed by one shard of
-        #: its scatter.  Same 429 contract as an unsharded service.
-        self._admission = AdmissionController(
-            queue_depth=self._service_config.admission_queue_depth,
-            default_deadline_ms=self._service_config.default_deadline_ms,
-        )
-        self._latency = LatencyHistogram()
-        self._counters = _RouterCounters()
-        self._dataset_version = 0
         self._num_features = len(feature_objects)
         #: Router-level mirror of the incremental write stream.  It is the
         #: single atomic validator of a write batch (duplicate oids,
@@ -226,18 +763,6 @@ class ShardRouter:
         self._delta = DatasetDelta()
         self._base_data_oids = {obj.oid for obj in data_objects}
         self._base_feature_oids = {obj.oid for obj in feature_objects}
-        self._lock = threading.Lock()
-        #: Serializes hot swaps against each other.
-        self._swap_lock = threading.Lock()
-        #: Quiesce gate: while ``_paused`` no new request scatters;
-        #: ``_inflight`` counts requests between gate entry and completion.
-        self._gate = threading.Condition()
-        self._paused = False
-        self._inflight = 0
-        self._pool: Optional[ThreadPoolExecutor] = None
-        self._started = False
-        self._closed = False
-        self._started_monotonic: Optional[float] = None
         #: Background imbalance watcher (started only with a threshold).
         self._rebalance_stop = threading.Event()
         self._rebalance_thread: Optional[threading.Thread] = None
@@ -278,21 +803,9 @@ class ShardRouter:
         return config
 
     # ------------------------------------------------------------------ #
-    # lifecycle
+    # the sharded mode's slices
 
-    def start(self) -> "ShardRouter":
-        """Start every shard service and the scatter pool (idempotent)."""
-        with self._lock:
-            if self._started or self._closed:
-                return self
-            self._started = True
-            self._started_monotonic = time.monotonic()
-        workers = self.sharding.scatter_threads or min(
-            64, self.sharding.shards * 8
-        )
-        self._pool = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="repro-scatter"
-        )
+    def _start_slices(self) -> None:
         for service in self._services:
             service.start()
         if self.sharding.rebalance_threshold is not None:
@@ -302,391 +815,49 @@ class ShardRouter:
                 daemon=True,
             )
             self._rebalance_thread.start()
-        return self
 
-    def shutdown(self) -> None:
-        """Drain in-flight requests, then tear everything down (idempotent).
-
-        A request that passed the submission check races shutdown; tearing
-        the scatter pool down under it would fail an accepted request (the
-        close-while-serving race class).  Instead the gate's in-flight count
-        is drained first -- accepted requests complete, requests that reach
-        the gate after the closed flag is set are rejected cleanly -- and
-        only then are the pool and the shard services stopped (serialized
-        against a concurrent :meth:`swap_datasets` via the swap lock).
-        """
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
+    def _stop_background(self) -> None:
         self._rebalance_stop.set()
         if self._rebalance_thread is not None:
             self._rebalance_thread.join()
-        with self._gate:
-            while self._inflight:
-                self._gate.wait()
-        with self._swap_lock:
-            if self._pool is not None:
-                self._pool.shutdown(wait=True)
-            for service in self._services:
-                service.shutdown()
 
-    def __enter__(self) -> "ShardRouter":
-        return self.start()
+    def _close_slices(self) -> None:
+        for service in self._services:
+            service.shutdown()
 
-    def __exit__(self, *exc_info: object) -> None:
-        self.shutdown()
+    def _query_slice(
+        self, shard_id: int, spec: Mapping[str, object]
+    ) -> Optional[Dict[str, object]]:
+        return self._services[shard_id].submit(spec)
 
-    @property
-    def closed(self) -> bool:
-        """True once :meth:`shutdown` has been called."""
-        return self._closed
+    def _cache_version(self) -> Tuple[int, int]:
+        # Incremental writes bump only the delta component (the shard
+        # engines' base snapshots stay valid), making every cached merged
+        # result unreachable the moment a write lands.
+        return (self._dataset_version, self._delta.snapshot().version)
 
-    def uptime_seconds(self) -> float:
-        """Seconds since :meth:`start` (0.0 before it); lock-free."""
-        started = self._started_monotonic
-        return time.monotonic() - started if started is not None else 0.0
+    def _response_stats(self, missing: List[int]) -> Dict[str, object]:
+        return {"dataset_version": self._dataset_version}
 
-    # ------------------------------------------------------------------ #
-    # serving
-
-    def submit(self, spec: Mapping[str, object]) -> Dict[str, object]:
-        """Serve one request object; returns its response payload.
-
-        Identical request/response contract to :meth:`QueryService.submit`;
-        see :mod:`repro.server.protocol`.  Additionally rejects queries
-        whose radius exceeds the configured ``max_radius`` (the shards'
-        feature replication cannot answer them exactly).
-
-        Raises:
-            InvalidQueryError: for an invalid request or an over-radius one.
-            RuntimeError: when the router is not started or already shut
-                down.
-        """
-        parsed = self._parse(spec)
-        return self._serve(parsed)
-
-    def submit_many(
-        self, specs: Sequence[Mapping[str, object]]
-    ) -> List[Dict[str, object]]:
-        """Serve a batch of request objects; responses in input order.
-
-        All requests are validated up front (the whole batch is rejected if
-        any is invalid, mirroring ``QueryService.submit_many``), then served
-        concurrently on a batch-local thread pool so their scatter-gather
-        round-trips overlap -- the pool is distinct from the shard scatter
-        pool (batch tasks block on scatter tasks, never the reverse, so the
-        two levels cannot deadlock each other).
-        """
-        parsed_list = [self._parse(spec) for spec in specs]
-        if len(parsed_list) <= 1:
-            return [self._serve(parsed) for parsed in parsed_list]
-        with ThreadPoolExecutor(
-            max_workers=min(len(parsed_list), 8),
-            thread_name_prefix="repro-shard-batch",
-        ) as pool:
-            return list(pool.map(self._serve, parsed_list))
-
-    def _parse(self, spec: Mapping[str, object]) -> ParsedRequest:
-        parsed = parse_query_spec(spec, self._defaults, ALGORITHM_CHOICES)
-        self._services[0].engines[0].validate_combination(
-            parsed.item.algorithm, parsed.item.score_mode
-        )
-        max_radius = self.sharding.max_radius
-        if max_radius is not None and parsed.item.query.radius > max_radius:
-            raise InvalidQueryError(
-                f"query radius {parsed.item.query.radius} exceeds the shard "
-                f"replication radius (max_radius={max_radius}); features "
-                "beyond it were not replicated across shard boundaries, so "
-                "the sharded service cannot answer this query exactly"
-            )
-        return parsed
-
-    def _serve(self, parsed: ParsedRequest) -> Dict[str, object]:
-        started = time.monotonic()
-        with self._lock:
-            if not self._started:
-                raise RuntimeError("the query service is not started")
-            if self._closed:
-                raise RuntimeError("the query service is shut down")
-            self._counters.submitted += 1
-        admission = self._admission
-        deadline = admission.resolve_deadline(parsed.deadline_ms)
-        admission.on_arrival(deadline)
-        admission.acquire()
-        try:
-            response = self._serve_admitted(parsed, deadline)
-        except OverloadError:
-            # Only the gate's queue-expiry check raises this past
-            # admission: the request was admitted, then its deadline
-            # passed while waiting at the (possibly swap-paused) gate.
-            admission.release("expired")
-            with self._lock:
-                self._counters.failed += 1
-            raise
-        except BaseException:
-            admission.release("failed")
-            with self._lock:
-                self._counters.failed += 1
-            raise
-        latency = time.monotonic() - started
-        admission.release("completed", latency)
-        self._latency.record(latency)
-        with self._lock:
-            self._counters.completed += 1
-        return response
-
-    def _serve_admitted(
-        self, parsed: ParsedRequest, deadline: Optional[float]
-    ) -> Dict[str, object]:
-        """Gate entry + scatter-gather for one admitted request."""
-        with self._gate:
-            while self._paused:
-                self._gate.wait()
-            # The authoritative closed-check: a request may pass the early
-            # check above, then lose the race with shutdown -- rejecting it
-            # here (before the in-flight count) keeps shutdown's drain exact.
-            if self._closed:
-                raise RuntimeError("the query service is shut down")
-            self._inflight += 1
-        try:
-            # A swap may have held the gate long enough to blow the
-            # request's budget; shedding it here (explicit 429) instead of
-            # serving a too-late answer is what "quiesce under overload
-            # loses nothing" means -- every request still gets a definite
-            # outcome.
-            if self._admission.expired_in_queue(deadline):
-                raise self._admission.queue_expiry_error()
-            return self._serve_gated(parsed)
-        finally:
-            with self._gate:
-                self._inflight -= 1
-                self._gate.notify_all()
-
-    def _serve_gated(self, parsed: ParsedRequest) -> Dict[str, object]:
-        """Cache probe + scatter-gather; runs inside the quiesce gate."""
-        # Composite version: incremental writes bump only the delta
-        # component (the shard engines' base snapshots stay valid), making
-        # every cached merged result unreachable the moment a write lands.
-        key = parsed.canonical_key(
-            (self._dataset_version, self._delta.snapshot().version)
-        )
-        if self._cache.enabled:
-            payload = self._cache.get(key)
-            if payload is not None:
-                payload["cached"] = True
-                if not parsed.include_stats:
-                    payload.pop("stats", None)
-                with self._lock:
-                    self._counters.cache_hits += 1
-                return payload
-
-        shard_responses = self._scatter(parsed)
-        full = self._gather(parsed, shard_responses)
-        self._cache.put(key, full)
-        response = dict(full)
-        if not parsed.include_stats:
-            response.pop("stats", None)
-        return response
-
-    def _scatter(
-        self, parsed: ParsedRequest
-    ) -> List[Tuple[int, Dict[str, object]]]:
-        """Fan the resolved request out to every data-bearing shard.
-
-        The scattered spec is fully resolved (every field explicit), so the
-        shard services' own defaults can never reinterpret it, and it always
-        asks for stats: the router caches the stats-bearing merged payload
-        (the same trick ``QueryService`` uses) and strips on answer.
-        """
-        item = parsed.item
-        spec: Dict[str, object] = {
-            "keywords": sorted(item.query.keywords),
-            "k": item.query.k,
-            "radius": item.query.radius,
-            "algorithm": item.algorithm,
-            "grid_size": item.grid_size,
-            "score_mode": item.score_mode,
-            "stats": True,
-        }
-        targets = [
-            (shard.shard_id, self._services[shard.shard_id])
-            for shard in self._plan.shards
-            if not shard.is_empty
-        ]
-        if not targets:
-            return []
-        if len(targets) == 1:
-            shard_id, service = targets[0]
-            return [(shard_id, service.submit(spec))]
-        assert self._pool is not None  # started before any request is gated
-        futures = [
-            (shard_id, self._pool.submit(service.submit, spec))
-            for shard_id, service in targets
-        ]
-        return [(shard_id, future.result()) for shard_id, future in futures]
-
-    def _gather(
+    def _install_slices(
         self,
-        parsed: ParsedRequest,
-        shard_responses: List[Tuple[int, Dict[str, object]]],
-    ) -> Dict[str, object]:
-        """Merge per-shard partials into the stats-bearing response payload."""
-        partials: List[List[ScoredObject]] = [
-            [
-                ScoredObject(
-                    DataObject(oid=entry["oid"], x=entry["x"], y=entry["y"]),
-                    entry["score"],
-                )
-                for entry in response["results"]
-            ]
-            for _, response in shard_responses
-        ]
-        entries = merge_top_k(partials, parsed.item.query.k)
-        stats = self._aggregate_stats(parsed, shard_responses)
-        stats_parsed = ParsedRequest(item=parsed.item, include_stats=True)
-        return result_payload(stats_parsed, QueryResult(entries, stats=stats))
-
-    def _aggregate_stats(
-        self,
-        parsed: ParsedRequest,
-        shard_responses: List[Tuple[int, Dict[str, object]]],
-    ) -> Dict[str, object]:
-        """Router-level stats tree: sums of shard work, makespan of shard time.
-
-        ``simulated_seconds`` is the *maximum* over shards -- they execute
-        in parallel, so the simulated sharded job time is the slowest
-        shard's -- while the work counters are sums.  Per-shard planner
-        decisions are surfaced under ``sharding.planned_algorithms``; the
-        top-level ``planned_algorithm`` is set only when every queried
-        shard chose the same one.
-        """
-        stats: Dict[str, object] = {
-            "algorithm": parsed.item.algorithm,
-            "grid_size": parsed.item.grid_size,
-        }
-        summed = (
-            "shuffled_records",
-            "features_pruned",
-            "features_examined",
-            "score_computations",
-        )
-        totals: Dict[str, float] = dict.fromkeys(summed, 0)
-        makespan = 0.0
-        planned: Dict[str, str] = {}
-        for shard_id, response in shard_responses:
-            shard_stats = response.get("stats", {})
-            for name in summed:
-                if name in shard_stats:
-                    totals[name] += shard_stats[name]
-            makespan = max(makespan, shard_stats.get("simulated_seconds", 0.0))
-            if "planned_algorithm" in response:
-                planned[str(shard_id)] = response["planned_algorithm"]
-            if "backend" in shard_stats and "backend" not in stats:
-                stats["backend"] = shard_stats["backend"]
-                stats["workers"] = shard_stats.get("workers")
-        stats.update(totals)
-        stats["simulated_seconds"] = makespan
-        stats["sharding"] = {
-            "shards_queried": len(shard_responses),
-            "dataset_version": self._dataset_version,
-            "planned_algorithms": planned or None,
-        }
-        if planned and len(set(planned.values())) == 1:
-            stats["planned_algorithm"] = next(iter(planned.values()))
-        return stats
-
-    # ------------------------------------------------------------------ #
-    # datasets
-
-    def swap_datasets(
-        self,
+        plan: ShardingPlan,
         data_objects: Sequence[DataObject],
         feature_objects: Sequence[FeatureObject],
-    ) -> Dict[str, object]:
-        """Hot-swap the dataset across every shard; returns new snapshot info.
-
-        The two-level quiesce protocol:
-
-        1. the router gate pauses: in-flight scatter-gather requests drain
-           (each sees one consistent shard generation), new requests queue
-           at the gate instead of failing;
-        2. the new dataset is repartitioned over its new extent;
-        3. every shard service swaps (their own quiesce is trivially idle:
-           all router traffic has drained, and shard queues are empty);
-        4. the router dataset version is bumped -- every cached result
-           becomes unreachable -- defaults re-derive from the new extent,
-           and the gate reopens.
-
-        No request is lost: requests queued at the gate are served from the
-        new snapshot once the gate reopens.
-        """
-        with self._swap_lock:
-            self._install_plan_locked(
-                data_objects, feature_objects, self._layout_kind
-            )
-            with self._lock:
-                self._counters.swaps += 1
-        return self.dataset_info()
-
-    def _install_plan_locked(
-        self,
-        data_objects: Sequence[DataObject],
-        feature_objects: Sequence[FeatureObject],
-        layout: str,
-        extent: Optional[BoundingBox] = None,
-    ) -> ShardingPlan:
-        """Repartition + apply a dataset under the quiesce gate.
-
-        The shared tail of :meth:`swap_datasets` and :meth:`rebalance`;
-        the caller must hold ``_swap_lock``.  Pauses the gate, drains
-        in-flight scatter-gathers, swaps every shard service (padding
-        services past a shorter plan with empty slices at the new extent),
-        bumps the router dataset version -- every cached result becomes
-        unreachable -- resets the write mirror to the new base, re-derives
-        the defaults and reopens the gate.
-        """
-        with self._gate:
-            self._paused = True
-            while self._inflight:
-                self._gate.wait()
-        try:
-            plan = partition_datasets(
-                data_objects,
-                feature_objects,
-                self.sharding.shards,
-                max_radius=self.sharding.max_radius,
-                extent=extent,
-                layout=layout,
-                layout_resolution=self._layout_resolution,
-            )
-            for shard_id, service in enumerate(self._services):
-                shard_data, shard_features = self._shard_slice(plan, shard_id)
-                service.swap_datasets(
-                    shard_data, shard_features, extent=plan.extent
-                )
-            self._plan = plan
-            self._layout_kind = plan.stats.kind
-            self._base_data = list(data_objects)
-            self._base_features = list(feature_objects)
-            self._num_features = len(feature_objects)
-            self._dataset_version += 1
-            # The write mirror was relative to the old base: new base
-            # oid sets, empty delta (the reset still bumps its version).
-            self._base_data_oids = {obj.oid for obj in data_objects}
-            self._base_feature_oids = {obj.oid for obj in feature_objects}
-            self._delta.reset()
-            self._cache.invalidate()
-            self._defaults = resolve_request_defaults(
-                plan.extent,
-                self._engine_config.grid_size,
-                self._service_config,
-            )
-        finally:
-            with self._gate:
-                self._paused = False
-                self._gate.notify_all()
-        return plan
+    ) -> None:
+        # Every shard service swaps, services past a shorter plan get
+        # empty slices at the new extent.
+        for shard_id, service in enumerate(self._services):
+            shard_data, shard_features = self._shard_slice(plan, shard_id)
+            service.swap_datasets(shard_data, shard_features, extent=plan.extent)
+        self._base_data = list(data_objects)
+        self._base_features = list(feature_objects)
+        self._num_features = len(feature_objects)
+        # The write mirror was relative to the old base: new base oid
+        # sets, empty delta (the reset still bumps its version).
+        self._base_data_oids = {obj.oid for obj in data_objects}
+        self._base_feature_oids = {obj.oid for obj in feature_objects}
+        self._delta.reset()
 
     # ------------------------------------------------------------------ #
     # rebalancing (see docs/sharding.md)
@@ -717,16 +888,12 @@ class ShardRouter:
             raise ValueError(
                 f"unknown layout {layout!r}; expected one of {LAYOUT_CHOICES}"
             )
-        with self._lock:
-            if not self._started:
-                raise RuntimeError("the query service is not started")
-            if self._closed:
-                raise RuntimeError("the query service is shut down")
+        self._require_serving()
         with self._swap_lock:
             data_objects, feature_objects = materialize(
                 self._base_data, self._base_features, self._delta.snapshot()
             )
-            plan = self._install_plan_locked(
+            plan = self._install_locked(
                 data_objects, feature_objects, layout, extent=self._plan.extent
             )
             seeded = [
@@ -863,14 +1030,6 @@ class ShardRouter:
                         else largest_finite * 2.0)
         return (count, largest_finite * 2.0)  # pragma: no cover - defensive
 
-    def set_datasets(
-        self,
-        data_objects: Sequence[DataObject],
-        feature_objects: Sequence[FeatureObject],
-    ) -> None:
-        """Alias of :meth:`swap_datasets` (the :class:`QueryService` name)."""
-        self.swap_datasets(data_objects, feature_objects)
-
     def dataset_info(self) -> Dict[str, object]:
         """Version and sizes of the current (full) dataset snapshot."""
         return {
@@ -909,11 +1068,7 @@ class ShardRouter:
             DatasetUpdateError: for an invalid batch (no shard is touched).
             RuntimeError: when the router is not started or shut down.
         """
-        with self._lock:
-            if not self._started:
-                raise RuntimeError("the query service is not started")
-            if self._closed:
-                raise RuntimeError("the query service is shut down")
+        self._require_serving()
         with self._swap_lock:
             counts = self._delta.apply(
                 append_data=list(append_data),
@@ -924,32 +1079,17 @@ class ShardRouter:
                 base_feature_oids=self._base_feature_oids,
                 extent=self._plan.extent,
             )
-            layout = self._plan.layout
-            assert layout is not None  # partition_datasets always sets it
-            num_shards = layout.num_shards
-            sub_data: List[List[DataObject]] = [[] for _ in range(num_shards)]
-            for obj in append_data:
-                sub_data[layout.locate(obj.x, obj.y)].append(obj)
-            sub_features: List[List[FeatureObject]] = [
-                [] for _ in range(num_shards)
-            ]
-            if append_features:
-                if self.sharding.max_radius is None or num_shards == 1:
-                    for shard_id in range(num_shards):
-                        sub_features[shard_id] = list(append_features)
-                else:
-                    for feature in append_features:
-                        for shard_id in layout.shards_within(
-                            feature.x, feature.y, self.sharding.max_radius
-                        ):
-                            sub_features[shard_id].append(feature)
+            sub_data, sub_features = route_objects(
+                self._plan.layout, self._max_radius, append_data, append_features
+            )
             deletes = bool(delete_data_oids) or bool(delete_feature_oids)
-            for shard_id in range(num_shards):
-                service = self._services[shard_id]
-                if sub_data[shard_id] or sub_features[shard_id] or deletes:
+            for service, shard_data, shard_features in zip(
+                self._services, sub_data, sub_features
+            ):
+                if shard_data or shard_features or deletes:
                     service.apply_objects(
-                        append_data=sub_data[shard_id],
-                        append_features=sub_features[shard_id],
+                        append_data=shard_data,
+                        append_features=shard_features,
                         delete_data_oids=delete_data_oids,
                         delete_feature_oids=delete_feature_oids,
                     )
@@ -981,31 +1121,15 @@ class ShardRouter:
     # introspection
 
     @property
-    def admission(self) -> AdmissionController:
-        """The router-level admission controller (shards run without one)."""
-        return self._admission
-
-    @property
-    def plan(self) -> ShardingPlan:
-        """The current sharding plan (replaced wholesale by hot swaps)."""
-        return self._plan
-
-    @property
     def services(self) -> List[QueryService]:
         """The per-shard query services, in shard-id order."""
         return self._services
 
-    def stats(self) -> Dict[str, object]:
-        """Aggregate router statistics (the sharded ``GET /stats`` payload).
-
-        The router tree mirrors the :meth:`QueryService.stats` shape where
-        the concepts coincide (requests, latency, result cache, dataset,
-        defaults) and adds a ``sharding`` subtree plus one slim per-shard
-        entry -- including each shard's own latency histogram -- under
-        ``"shards"``.
+    def _mode_stats(self, counters: _RouterCounters) -> Dict[str, object]:
+        """The ``sharding`` subtree, dataset, ingest and defaults, plus one
+        slim per-shard entry -- including each shard's own latency
+        histogram -- under ``"shards"``.
         """
-        with self._lock:
-            counters = _RouterCounters(**vars(self._counters))
         plan_stats = self._plan.stats
         shard_data_counts = [
             len(shard.data_objects) for shard in self._plan.shards
@@ -1032,22 +1156,6 @@ class ShardRouter:
                 },
             })
         return {
-            "uptime_seconds": self.uptime_seconds(),
-            "started": self._started,
-            "closed": self._closed,
-            "requests": {
-                "submitted": counters.submitted,
-                "completed": counters.completed,
-                "failed": counters.failed,
-                "result_cache_hits": counters.cache_hits,
-            },
-            "latency": self._latency.snapshot(),
-            "admission": self._admission.snapshot(),
-            "result_cache": {
-                "capacity": self._cache.capacity,
-                "size": len(self._cache),
-                **self._cache.stats.as_dict(),
-            },
             "sharding": {
                 "shards": plan_stats.num_shards,
                 "layout": list(plan_stats.layout),
@@ -1092,4 +1200,4 @@ class ShardRouter:
         }
 
 
-__all__ = ["ShardRouter", "ShardingConfig"]
+__all__ = ["ScatterGatherRouter", "ShardRouter", "ShardingConfig"]

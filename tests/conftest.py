@@ -70,3 +70,94 @@ def small_clustered_dataset():
 def small_flickr_dataset():
     config = RealisticDatasetConfig(num_objects=800, vocabulary_size=500, seed=303)
     return generate_flickr_like(config=config)
+
+
+# --------------------------------------------------------------------- #
+# An in-process cluster: real shard nodes behind real HTTP servers.
+
+
+@pytest.fixture()
+def inprocess_cluster():
+    """Factory for a started :class:`ClusterRouter` over in-process nodes.
+
+    Every shard node is a :class:`ShardNodeService` behind a
+    :func:`make_server` HTTP server on port 0, served from a daemon thread.
+    Routers and nodes are shut down when the test ends.
+    """
+    import threading
+
+    from repro.cluster import (
+        ClusterConfig,
+        ClusterRouter,
+        NodeConfig,
+        NodeSpec,
+        ShardNodeService,
+    )
+    from repro.core.engine import EngineConfig
+    from repro.server import ServiceConfig, make_server
+
+    cleanups = []
+
+    def build(dataset, shards=2, grid=10, engine_config=None,
+              service_config=None):
+        data, features = dataset
+        engine_config = engine_config or EngineConfig(grid_size=grid)
+        specs = []
+        for shard_index in range(shards):
+            node = ShardNodeService(
+                data,
+                features,
+                node_config=NodeConfig(shard_index=shard_index, shards=shards),
+                engine_config=engine_config,
+                service_config=ServiceConfig(
+                    engines=1, result_cache_capacity=0, default_grid_size=grid
+                ),
+            ).start()
+            server = make_server(node)
+            thread = threading.Thread(target=server.serve_forever, daemon=True)
+            thread.start()
+            cleanups.append((node, server, thread))
+            specs.append(NodeSpec(
+                url=f"http://127.0.0.1:{server.port}", shard_index=shard_index
+            ))
+        router = ClusterRouter(
+            data,
+            features,
+            specs,
+            cluster=ClusterConfig(
+                shards=shards, heartbeat_interval=0, node_deadline=5.0
+            ),
+            engine_config=engine_config,
+            service_config=service_config
+            or ServiceConfig(engines=1, default_grid_size=grid),
+        )
+        cleanups.append((router, None, None))
+        return router.start()
+
+    yield build
+    for owner, server, thread in reversed(cleanups):
+        if server is not None:
+            server.shutdown()
+            server.server_close()
+            thread.join()
+        owner.shutdown()
+
+
+def _key_paths(tree, prefix=""):
+    """Every dotted key path of a JSON tree (list items as ``name[]``)."""
+    paths = set()
+    if isinstance(tree, dict):
+        for key, value in tree.items():
+            path = f"{prefix}.{key}" if prefix else str(key)
+            paths.add(path)
+            paths |= _key_paths(value, path)
+    elif isinstance(tree, list):
+        for value in tree:
+            paths |= _key_paths(value, prefix + "[]")
+    return paths
+
+
+@pytest.fixture()
+def key_paths():
+    """The key-path function payload-shape tests pin trees with."""
+    return _key_paths

@@ -280,13 +280,38 @@ class TestServiceAdmission:
         assert snapshot["shed"] == 0
         _reconciled(snapshot)
 
-    def test_batch_surface_bypasses_admission(self, service):
-        service, features = service
+    @pytest.fixture(params=["service", "sharded", "cluster"])
+    def batch_target(self, request, service, small_uniform_dataset,
+                     inprocess_cluster):
+        """A started service, shard router or cluster router at depth 2."""
+        if request.param == "service":
+            return service
+        from repro.sharding import ShardRouter, ShardingConfig
+
+        data, features = small_uniform_dataset
+        config = ServiceConfig(
+            engines=1, admission_queue_depth=2, result_cache_capacity=64
+        )
+        if request.param == "cluster":
+            return inprocess_cluster(
+                small_uniform_dataset, service_config=config
+            ), features
+        router = ShardRouter(
+            data, features, service_config=config,
+            sharding=ShardingConfig(shards=2),
+        )
+        request.addfinalizer(router.shutdown)
+        return router.start(), features
+
+    def test_batch_surface_bypasses_admission(self, batch_target):
+        # A batch is a trusted all-or-nothing bulk surface in every mode:
+        # 16 specs against a depth-2 queue must all be served, none shed.
+        service, features = batch_target
         before = service.stats()["admission"]["offered"]
         responses = service.submit_many(
-            [_spec(features, i) for i in range(3)]
+            [_spec(features, i) for i in range(16)]
         )
-        assert len(responses) == 3
+        assert len(responses) == 16
         assert service.stats()["admission"]["offered"] == before
 
     def test_swap_during_overload_loses_nothing(

@@ -101,7 +101,7 @@ class Fleet:
     """A router plus its in-process nodes, cleaned up as one unit."""
 
     def __init__(self, dataset, shards=2, replication=1, max_radius=None,
-                 grid=GRID, **cluster_kwargs):
+                 grid=GRID, result_cache_capacity=256, **cluster_kwargs):
         data, features = dataset
         self.handles = []
         specs = []
@@ -124,7 +124,10 @@ class Fleet:
                 shards=shards, max_radius=max_radius, **cluster_kwargs
             ),
             engine_config=EngineConfig(grid_size=grid),
-            service_config=ServiceConfig(engines=1, default_grid_size=grid),
+            service_config=ServiceConfig(
+                engines=1, default_grid_size=grid,
+                result_cache_capacity=result_cache_capacity,
+            ),
         )
 
     def handle(self, shard_index, replica=0):
@@ -387,6 +390,28 @@ class TestClusterIdentity:
                     {"keywords": ["w1"], "algorithm": "espq-len",
                      "score_mode": "influence"}
                 )
+
+    def test_planner_off_rejects_auto_before_scatter(
+        self, small_uniform_dataset, inprocess_cluster, monkeypatch
+    ):
+        import repro.cluster.router as cluster_router
+
+        node_calls = []
+        real_post_json = cluster_router.post_json
+
+        def counting_post_json(url, *args, **kwargs):
+            node_calls.append(url)
+            return real_post_json(url, *args, **kwargs)
+
+        router = inprocess_cluster(
+            small_uniform_dataset,
+            engine_config=EngineConfig(grid_size=GRID, planner_mode="off"),
+        )
+        monkeypatch.setattr(cluster_router, "post_json", counting_post_json)
+        with pytest.raises(InvalidQueryError, match="planner"):
+            router.submit({"keywords": ["w0001"], "algorithm": "auto"})
+        assert router.stats()["requests"]["submitted"] == 0
+        assert node_calls == []
 
     def test_max_radius_rejects_larger_queries(self, small_uniform_dataset):
         with Fleet(small_uniform_dataset, shards=2, max_radius=2.0) as fleet:
@@ -771,10 +796,11 @@ class TestShardNodeProcess:
             [NodeSpec(url=n.url, shard_index=n.shard_index) for n in nodes],
             cluster=ClusterConfig(
                 shards=2, heartbeat_interval=0, node_deadline=5.0,
-                result_cache_capacity=0,
             ),
             engine_config=EngineConfig(grid_size=GRID),
-            service_config=ServiceConfig(engines=1, default_grid_size=GRID),
+            service_config=ServiceConfig(
+                engines=1, default_grid_size=GRID, result_cache_capacity=0,
+            ),
         )
         try:
             router.start()
@@ -808,3 +834,74 @@ class TestSpawnValidation:
 
 def _drain(url):  # pragma: no cover - debugging helper
     return urllib.request.urlopen(url, timeout=5).read()
+
+
+# --------------------------------------------------------------------- #
+# payload shapes (clients and the benchmark tracer read these trees)
+
+CLUSTER_RESPONSE_KEYS = frozenset({
+    "algorithm", "cached", "k", "keywords", "radius", "results",
+    "results[].oid", "results[].score", "results[].x", "results[].y",
+    "stats", "stats.algorithm", "stats.backend", "stats.cluster",
+    "stats.cluster.dataset_epoch", "stats.cluster.dataset_version",
+    "stats.cluster.degraded", "stats.cluster.planned_algorithms",
+    "stats.cluster.shards_missing", "stats.cluster.shards_queried",
+    "stats.features_examined", "stats.features_pruned", "stats.grid_size",
+    "stats.score_computations", "stats.shuffled_records",
+    "stats.simulated_seconds", "stats.workers"
+})
+
+CLUSTER_DEGRADED_KEYS = CLUSTER_RESPONSE_KEYS | {
+    "degraded", "shards_answered", "shards_missing",
+}
+
+CLUSTER_STATS_KEYS = frozenset({
+    "admission", "admission.admitted", "admission.completed",
+    "admission.deadline_miss", "admission.default_deadline_ms",
+    "admission.enabled", "admission.failed", "admission.goodput",
+    "admission.inflight", "admission.latency", "admission.latency.buckets",
+    "admission.latency.count", "admission.latency.max_ms",
+    "admission.latency.mean_ms", "admission.latency.p50_ms",
+    "admission.latency.p90_ms", "admission.latency.p99_ms",
+    "admission.offered", "admission.queue_depth",
+    "admission.retry_after_ms", "admission.shed", "admission.shed_deadline",
+    "admission.shed_queue_full", "closed", "cluster", "cluster.alive_nodes",
+    "cluster.dataset_epoch", "cluster.feature_replication_factor",
+    "cluster.grid_aligned_default", "cluster.heartbeat_interval_seconds",
+    "cluster.layout", "cluster.liveness_timeout_seconds",
+    "cluster.max_misses", "cluster.max_radius",
+    "cluster.node_deadline_seconds", "cluster.nodes",
+    "cluster.nodes[].consecutive_misses", "cluster.nodes[].dataset_epoch",
+    "cluster.nodes[].dataset_version", "cluster.nodes[].failovers",
+    "cluster.nodes[].node_id", "cluster.nodes[].replica",
+    "cluster.nodes[].seconds_since_contact", "cluster.nodes[].shard",
+    "cluster.nodes[].state", "cluster.nodes[].url", "cluster.resyncs",
+    "cluster.retries", "cluster.shards", "dataset", "dataset.data_objects",
+    "dataset.dataset_epoch", "dataset.feature_objects", "dataset.swaps",
+    "dataset.version", "defaults", "defaults.algorithm",
+    "defaults.grid_size", "defaults.k", "defaults.radius",
+    "defaults.score_mode", "ingest", "ingest.write_batches",
+    "ingest.write_version", "latency", "latency.buckets",
+    "latency.buckets[].count", "latency.buckets[].le_ms", "latency.count",
+    "latency.max_ms", "latency.mean_ms", "latency.p50_ms", "latency.p90_ms",
+    "latency.p99_ms", "requests", "requests.completed",
+    "requests.degraded_responses", "requests.failed", "requests.failovers",
+    "requests.result_cache_hits", "requests.submitted", "result_cache",
+    "result_cache.capacity", "result_cache.evictions",
+    "result_cache.hit_rate", "result_cache.hits",
+    "result_cache.invalidations", "result_cache.misses",
+    "result_cache.size", "started", "uptime_seconds"
+})
+
+
+class TestPayloadShapes:
+    def test_response_and_stats_key_sets(self, small_uniform_dataset, key_paths):
+        spec = {"keywords": ["w0001"], "k": 5, "radius": 2.0, "stats": True}
+        with Fleet(small_uniform_dataset, shards=2) as fleet:
+            response = fleet.router.submit(spec)
+            stats = fleet.router.stats()
+            fleet.handle(1).stop_server()
+            degraded = fleet.router.submit({**spec, "keywords": ["w0002"]})
+        assert key_paths(response) == CLUSTER_RESPONSE_KEYS
+        assert key_paths(stats) == CLUSTER_STATS_KEYS
+        assert key_paths(degraded) == CLUSTER_DEGRADED_KEYS

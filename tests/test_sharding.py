@@ -828,3 +828,90 @@ class TestShardCalibrationSeeding:
         assert base.read_bytes() == before
         for shard_id in range(2):
             assert (tmp_path / f"calibration.json.shard{shard_id}").exists()
+
+
+# --------------------------------------------------------------------- #
+# payload shapes (clients and the benchmark tracer read these trees)
+
+SHARD_RESPONSE_KEYS = frozenset({
+    "algorithm", "cached", "k", "keywords", "radius", "results",
+    "results[].oid", "results[].score", "results[].x", "results[].y",
+    "stats", "stats.algorithm", "stats.backend", "stats.features_examined",
+    "stats.features_pruned", "stats.grid_size", "stats.score_computations",
+    "stats.sharding", "stats.sharding.dataset_version",
+    "stats.sharding.planned_algorithms", "stats.sharding.shards_queried",
+    "stats.shuffled_records", "stats.simulated_seconds", "stats.workers"
+})
+
+SHARD_STATS_KEYS = frozenset({
+    "admission", "admission.admitted", "admission.completed",
+    "admission.deadline_miss", "admission.default_deadline_ms",
+    "admission.enabled", "admission.failed", "admission.goodput",
+    "admission.inflight", "admission.latency", "admission.latency.buckets",
+    "admission.latency.count", "admission.latency.max_ms",
+    "admission.latency.mean_ms", "admission.latency.p50_ms",
+    "admission.latency.p90_ms", "admission.latency.p99_ms",
+    "admission.offered", "admission.queue_depth",
+    "admission.retry_after_ms", "admission.shed", "admission.shed_deadline",
+    "admission.shed_queue_full", "closed", "dataset",
+    "dataset.data_objects", "dataset.feature_objects", "dataset.swaps",
+    "dataset.version", "defaults", "defaults.algorithm",
+    "defaults.grid_size", "defaults.k", "defaults.radius",
+    "defaults.score_mode", "ingest", "ingest.compact_threshold",
+    "ingest.cumulative", "ingest.cumulative.data_appended",
+    "ingest.cumulative.data_deleted", "ingest.cumulative.features_appended",
+    "ingest.cumulative.features_deleted", "ingest.cumulative.resets",
+    "ingest.cumulative.write_batches", "ingest.delta",
+    "ingest.delta.appended_data", "ingest.delta.appended_features",
+    "ingest.delta.deleted_data", "ingest.delta.deleted_features",
+    "ingest.delta.version", "ingest.write_batches", "latency",
+    "latency.buckets", "latency.buckets[].count", "latency.buckets[].le_ms",
+    "latency.count", "latency.max_ms", "latency.mean_ms", "latency.p50_ms",
+    "latency.p90_ms", "latency.p99_ms", "requests", "requests.completed",
+    "requests.failed", "requests.result_cache_hits", "requests.submitted",
+    "result_cache", "result_cache.capacity", "result_cache.evictions",
+    "result_cache.hit_rate", "result_cache.hits",
+    "result_cache.invalidations", "result_cache.misses",
+    "result_cache.size", "sharding", "sharding.active_shards",
+    "sharding.balance", "sharding.balance.controller",
+    "sharding.balance.controller.enabled",
+    "sharding.balance.controller.interval_seconds",
+    "sharding.balance.controller.last_observed_imbalance",
+    "sharding.balance.controller.min_requests",
+    "sharding.balance.controller.threshold", "sharding.balance.data_share",
+    "sharding.balance.imbalance", "sharding.balance.kind",
+    "sharding.balance.last_rebalance_unix", "sharding.balance.rebalances",
+    "sharding.empty_shards", "sharding.feature_replication_factor",
+    "sharding.grid_aligned_default", "sharding.layout",
+    "sharding.layout_kind", "sharding.max_radius", "sharding.shards",
+    "shards", "shards[].batching", "shards[].batching.batches",
+    "shards[].batching.mean_batch", "shards[].box", "shards[].data_objects",
+    "shards[].feature_objects", "shards[].index_cache",
+    "shards[].index_cache.evictions", "shards[].index_cache.hit_rate",
+    "shards[].index_cache.hits", "shards[].index_cache.invalidations",
+    "shards[].index_cache.misses", "shards[].ingest",
+    "shards[].ingest.compactions", "shards[].ingest.delta",
+    "shards[].ingest.delta.appended_data",
+    "shards[].ingest.delta.appended_features",
+    "shards[].ingest.delta.deleted_data",
+    "shards[].ingest.delta.deleted_features",
+    "shards[].ingest.delta.version", "shards[].latency",
+    "shards[].latency.buckets", "shards[].latency.buckets[].count",
+    "shards[].latency.buckets[].le_ms", "shards[].latency.count",
+    "shards[].latency.max_ms", "shards[].latency.mean_ms",
+    "shards[].latency.p50_ms", "shards[].latency.p90_ms",
+    "shards[].latency.p99_ms", "shards[].requests",
+    "shards[].requests.completed", "shards[].requests.failed",
+    "shards[].requests.result_cache_hits", "shards[].requests.submitted",
+    "shards[].shard", "started", "uptime_seconds"
+})
+
+
+class TestPayloadShapes:
+    def test_response_and_stats_key_sets(self, small_uniform_dataset, key_paths):
+        spec = {"keywords": ["w0001"], "k": 5, "radius": 2.0, "stats": True}
+        with make_router(small_uniform_dataset, shards=2) as router:
+            response = router.submit(spec)
+            stats = router.stats()
+        assert key_paths(response) == SHARD_RESPONSE_KEYS
+        assert key_paths(stats) == SHARD_STATS_KEYS
